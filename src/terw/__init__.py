@@ -39,12 +39,12 @@ from .groups import (
     orbitals,
     orbital_matrices,
 )
-from .linalg import SpanBasis, span_insert, contains, algebra_closure, center_basis
+from .linalg import SpanBasis, algebra_closure, center_basis
 from .algebras import (
     AlgebraBasis,
     idempotent_for_set,
     build_T,
-    inclusion_chain_report,
+    chain_with_algebras,
     corner,
     is_commutative,
     principal_row_dim,

@@ -7,31 +7,43 @@ Levels, for a connected graph with base vertex x0:
   2  generated by A and the diagonal idempotents of the distance partition
   3  generated by A and the idempotents of the stabilizer's vertex orbits
   4  span of the 0/1 orbital matrices of the stabilizer (the centralizer
-     algebra); built directly as a span and then certified closed
+     algebra); built directly as a span
 
-Every level contains the previous one, and all five are closed under
-transpose; both facts are asserted on construction.
+Every level is a unital algebra closed under transpose and contains the
+previous one.  Each fact is certified on construction from facts about the
+partitions {x0}, distance cells, stabilizer orbits and orbitals, at cost
+O(n^2 |gens|) and without elimination:
+
+  * levels 0-3 are transpose-closed because every generator is symmetric
+    (the transpose of a word is the reversed word); the identity is checked
+    by one reduction;
+  * level 4 is the commutant of the stabilizer, hence a unital
+    transpose-closed algebra: its cells partition the vertex pairs, each is
+    one generator orbit (``orbitals``), every stabilizer generator maps each
+    cell onto itself, the diagonal pairs form whole cells and the transpose
+    of a cell is a cell;
+  * T_k lies in the algebra T_{k+1} once T_k's generators do: A generates
+    levels 0-3, distance cell 0 is {x0}, each stabilizer orbit lies inside
+    one distance cell, and A and every orbit idempotent are constant on each
+    orbital cell.
+
+A failed certificate raises CertificationError.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from . import linalg
+from .errors import CertificationError
 from .graphs import Graph, bfs_distance_partition
 from .groups import PermGroup, orbital_matrices, orbitals, stabilizer, vertex_orbits
 from .linalg import SpanBasis, algebra_closure, exact_matmul
 
 LEVELS = (0, 1, 2, 3, 4)
-
-# full pairwise closure certification up to this many basis pairs; beyond
-# that a fixed-seed sample is checked instead
-_CLOSURE_PAIR_LIMIT = 400
-_CLOSURE_SAMPLE = 200
 
 
 def idempotent_for_set(n: int, vertices) -> np.ndarray:
@@ -53,7 +65,9 @@ class AlgebraBasis:
     n: int
     basis: SpanBasis
     generators: tuple[str, ...]
-    cells: Optional[tuple[tuple[int, ...], ...]] = None  # distance or orbit cells
+    # distance cells (level 2), orbit cells (level 3), or orbital cells as
+    # pair codes x*n+y (level 4)
+    cells: Optional[tuple[tuple[int, ...], ...]] = None
 
     @property
     def dim(self) -> int:
@@ -63,22 +77,44 @@ class AlgebraBasis:
         return self.basis.contains(mat)
 
 
-def _assert_unital_and_selfadjoint(basis: SpanBasis) -> None:
-    n = basis.side
-    assert basis.contains(np.eye(n, dtype=np.int64)), "algebra misses the identity"
-    for row in list(basis.rows):
-        m = row.reshape(n, n)
-        assert basis.contains(m.T.copy()), "algebra is not closed under transpose"
+def _certify_unital_and_selfadjoint(basis: SpanBasis, gens: list[np.ndarray]) -> None:
+    for g in gens:
+        if not np.array_equal(g, g.T):
+            raise CertificationError("a generator is not symmetric, so transpose closure fails")
+    if not basis.contains(np.eye(basis.side, dtype=np.int64)):
+        raise CertificationError("algebra misses the identity")
 
 
-def _assert_span_closed(basis: SpanBasis) -> None:
-    d = basis.dim
-    if d * d <= _CLOSURE_PAIR_LIMIT:
-        pairs = None
-    else:
-        rng = random.Random(0)
-        pairs = [(rng.randrange(d), rng.randrange(d)) for _ in range(_CLOSURE_SAMPLE)]
-    assert linalg.is_multiplicatively_closed(basis, pairs), "orbital span is not closed"
+def _cell_labels(n: int, cells) -> np.ndarray:
+    """Cell index of each pair code x*n+y; the cells must partition the pairs."""
+    labels = np.full(n * n, -1, dtype=np.int64)
+    for cid, cell in enumerate(cells):
+        idx = np.asarray(cell, dtype=np.int64)
+        if np.any(labels[idx] >= 0):
+            raise CertificationError("orbital cells overlap")
+        labels[idx] = cid
+    if np.any(labels < 0):
+        raise CertificationError("orbital cells miss a vertex pair")
+    return labels
+
+
+def _constant_on_cells(mat: np.ndarray, labels: np.ndarray) -> bool:
+    flat = mat.reshape(-1)
+    first = np.empty(int(labels.max()) + 1, dtype=flat.dtype)
+    first[labels] = flat
+    return np.array_equal(first[labels], flat)
+
+
+def _certify_commutant(group: PermGroup, labels: np.ndarray) -> None:
+    n = group.n
+    for g in group.gens:
+        img = np.asarray(g.images, dtype=np.int64)
+        if not np.array_equal(labels[(img[:, None] * n + img[None, :]).reshape(-1)], labels):
+            raise CertificationError("a stabilizer generator moves an orbital cell")
+    if np.count_nonzero(np.isin(labels, labels[:: n + 1])) != n:
+        raise CertificationError("diagonal pairs do not form whole orbital cells")
+    if not _constant_on_cells(labels.reshape(n, n).T, labels):
+        raise CertificationError("the transpose of an orbital cell is not a cell")
 
 
 def build_T(
@@ -105,6 +141,12 @@ def build_T(
     n = graph.n
     a = graph.adjacency_matrix()
     cells = None
+    if level >= 3:
+        group = stab if stab is not None else stabilizer(
+            graph, base, node_budget=node_budget, time_budget=time_budget
+        )
+        if group.n != n:
+            raise ValueError(f"stabilizer acts on {group.n} points, the graph has {n}")
     if level == 0:
         gens = [a]
         names = ("A",)
@@ -117,31 +159,23 @@ def build_T(
         gens = [a] + [idempotent_for_set(n, c) for c in cells]
         names = ("A",) + tuple(f"E[X{k}]" for k in range(len(cells)))
     elif level == 3:
-        group = stab if stab is not None else stabilizer(
-            graph, base, node_budget=node_budget, time_budget=time_budget
-        )
         cells = vertex_orbits(group, base=base).cells
         gens = [a] + [idempotent_for_set(n, c) for c in cells]
         names = ("A",) + tuple(f"E[Y{k}]" for k in range(len(cells)))
     else:
-        group = stab if stab is not None else stabilizer(
-            graph, base, node_budget=node_budget, time_budget=time_budget
-        )
-        mats = orbital_matrices(orbitals(group))
+        orbs = orbitals(group)
+        cells = tuple(tuple(x * n + y for x, y in cell) for cell in orbs.cells)
+        _certify_commutant(group, _cell_labels(n, cells))
         basis = SpanBasis(n)
-        for m in mats:
+        for m in orbital_matrices(orbs):
             basis.insert(m)
-        assert basis.dim == len(mats), "orbital matrices must be independent"
-        _assert_span_closed(basis)
-        _assert_unital_and_selfadjoint(basis)
-        alg = AlgebraBasis(
+        return AlgebraBasis(
             level=4, base=base, n=n, basis=basis,
-            generators=tuple(f"A[orbital {i}]" for i in range(len(mats))),
+            generators=tuple(f"A[orbital {i}]" for i in range(len(cells))), cells=cells,
         )
-        return alg
 
     basis = algebra_closure(gens, side=n)
-    _assert_unital_and_selfadjoint(basis)
+    _certify_unital_and_selfadjoint(basis, gens)
     return AlgebraBasis(level=level, base=base, n=n, basis=basis, generators=names, cells=cells)
 
 
@@ -156,24 +190,24 @@ class ChainReport:
     witnesses: dict[int, np.ndarray]
 
 
-def inclusion_chain_report(
-    graph: Graph,
-    base: int,
-    *,
-    stab: Optional[PermGroup] = None,
-    node_budget: int = 10**7,
-    time_budget: Optional[float] = None,
-) -> ChainReport:
-    """Dims of all five algebras plus adjacency equality flags.
-
-    Containment of each algebra in the next is verified by exact membership
-    of every basis element; for strict steps the first non-member basis
-    matrix of the larger algebra is kept as a witness.
-    """
-    report, _ = chain_with_algebras(
-        graph, base, stab=stab, node_budget=node_budget, time_budget=time_budget
-    )
-    return report
+def _certify_chain(graph: Graph, algs: list[AlgebraBasis]) -> None:
+    """T_k lies in T_{k+1}: every generator of T_k lies in the algebra T_{k+1}."""
+    n, base = graph.n, algs[0].base
+    t2, t3, t4 = algs[2:]
+    if any(alg.generators[0] != "A" for alg in algs[:4]):
+        raise CertificationError("A must generate levels 0-3")
+    if t2.cells[0] != (base,):
+        raise CertificationError("distance cell 0 is not the base vertex")
+    dist_cell = {v: k for k, cell in enumerate(t2.cells) for v in cell}
+    if sorted(v for cell in t3.cells for v in cell) != list(range(n)):
+        raise CertificationError("stabilizer orbits do not partition the vertices")
+    if any(len({dist_cell[v] for v in cell}) != 1 for cell in t3.cells):
+        raise CertificationError("a stabilizer orbit meets two distance cells")
+    labels = _cell_labels(n, t4.cells)
+    if not _constant_on_cells(graph.adjacency_matrix(), labels):
+        raise CertificationError("A is not constant on an orbital cell; a stabilizer generator is not an automorphism")
+    if not all(_constant_on_cells(idempotent_for_set(n, cell), labels) for cell in t3.cells):
+        raise CertificationError("an orbit idempotent is not constant on an orbital cell")
 
 
 def chain_with_algebras(
@@ -184,19 +218,22 @@ def chain_with_algebras(
     node_budget: int = 10**7,
     time_budget: Optional[float] = None,
 ) -> tuple[ChainReport, list[AlgebraBasis]]:
-    """inclusion_chain_report plus the five constructed algebras."""
-    algs = [
-        build_T(lvl, graph, base, stab=stab, node_budget=node_budget, time_budget=time_budget)
-        for lvl in LEVELS
-    ]
-    dims = tuple(a.dim for a in algs)
+    """Dims of all five algebras, adjacency equality flags, and the algebras.
+
+    The base stabilizer is searched once (unless given), before any closure,
+    and shared by levels 3 and 4.  Containment of each algebra in the next
+    is certified from partition facts (see the module docstring); for each
+    strict step the first basis matrix of the larger algebra outside the
+    smaller one is kept as a witness.
+    """
+    if stab is None:
+        stab = stabilizer(graph, base, node_budget=node_budget, time_budget=time_budget)
+    algs = [build_T(lvl, graph, base, stab=stab) for lvl in LEVELS]
+    _certify_chain(graph, algs)
     flags = []
     witnesses: dict[int, np.ndarray] = {}
     for lvl in range(4):
         small, big = algs[lvl], algs[lvl + 1]
-        assert small.dim <= big.dim, "chain dimensions must be nondecreasing"
-        for m in small.basis.matrices():
-            assert big.contains(m), f"level {lvl} basis escapes level {lvl + 1}"
         eq = small.dim == big.dim
         flags.append(eq)
         if not eq:
@@ -204,7 +241,8 @@ def chain_with_algebras(
                 if not small.contains(m):
                     witnesses[lvl] = m
                     break
-    return ChainReport(dims=dims, equal_next=tuple(flags), witnesses=witnesses), algs
+    report = ChainReport(dims=tuple(a.dim for a in algs), equal_next=tuple(flags), witnesses=witnesses)
+    return report, algs
 
 
 def corner(algebra: AlgebraBasis | SpanBasis, vertices) -> SpanBasis:

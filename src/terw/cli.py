@@ -117,13 +117,7 @@ def _cmd_compute(args) -> int:
     return EXIT_OK
 
 
-_FAMILIES = {
-    "path": (gen_path, 1),
-    "star": (gen_star, 1),
-    "cycle": (gen_cycle, 1),
-    "delta": (gen_delta, 1),
-    "paley": (gen_paley, None),
-}
+_FAMILIES = {"path": gen_path, "star": gen_star, "cycle": gen_cycle, "delta": gen_delta}
 
 
 def _cmd_generate(args) -> int:
@@ -134,7 +128,7 @@ def _cmd_generate(args) -> int:
     else:
         if len(args.params) != 1:
             raise ValueError(f"{args.family} takes a single vertex count")
-        graph = _FAMILIES[args.family][0](args.params[0])
+        graph = _FAMILIES[args.family](args.params[0])
     g6 = write_graph6(graph).decode("ascii")
     if args.base is not None:
         if not 1 <= args.base <= graph.n:

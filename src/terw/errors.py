@@ -15,3 +15,10 @@ class ToleranceError(RuntimeError):
 
 class DecompositionError(RuntimeError):
     """Wedderburn decomposition could not be certified."""
+
+
+class CertificationError(AssertionError):
+    """A structural certificate failed: the computed object is not what it claims.
+
+    Raised explicitly, so the checks also run under ``python -O``.
+    """

@@ -16,7 +16,7 @@ from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
 
-from .errors import Graph6Error, ToleranceError
+from .errors import CertificationError, Graph6Error, ToleranceError
 
 GRAPH6_HEADER = b">>graph6<<"
 GRAPH6_MAX_N = 258048
@@ -63,18 +63,6 @@ class Graph:
             for v in range(u + 1, g.n):
                 if (bits[u] >> v & 1) != (bits[v] >> u & 1):
                     raise ValueError("adjacency must be symmetric")
-        return g
-
-    @classmethod
-    def from_adjacency(cls, mat) -> "Graph":
-        m = np.asarray(mat)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("adjacency matrix must be square")
-        n = m.shape[0]
-        edges = [(i, j) for i in range(n) for j in range(i + 1, n) if m[i, j]]
-        g = cls(n, edges)
-        if np.any(m != np.asarray(g.adjacency_matrix(), dtype=m.dtype)):
-            raise ValueError("matrix is not a symmetric 0/1 adjacency with empty diagonal")
         return g
 
     def bits(self, v: int) -> int:
@@ -447,7 +435,8 @@ class PaleyConstruction:
 
     def gf(self) -> _GF:
         f = _GF(self.p, self.a)
-        assert f.modulus == self.modulus_poly
+        if f.modulus != self.modulus_poly:
+            raise CertificationError("field modulus differs from the construction's")
         return f
 
 
@@ -584,7 +573,8 @@ def is_strongly_regular(graph: Graph) -> Optional[SrgParams]:
     if lam is None or mu is None:
         return None
     params = SrgParams(n=n, k=k, lam=lam, mu=mu)
-    assert params.feasible()
+    if not params.feasible():
+        raise CertificationError(f"measured parameters {params} violate the feasibility identity")
     return params
 
 
@@ -647,7 +637,8 @@ def charpoly_exact(mat: np.ndarray) -> list[int]:
         am = np.dot(a, m)
         tr = int(np.trace(am))
         q, r = divmod(-tr, k)
-        assert r == 0, "Faddeev-LeVerrier division must be exact"
+        if r:
+            raise CertificationError("Faddeev-LeVerrier division must be exact")
         coeffs.append(q)
         m = am + q * np.eye(n, dtype=object)
     return coeffs

@@ -18,7 +18,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, CertificationError
 from .graphs import Graph, PaleyConstruction
 
 DEFAULT_NODE_BUDGET = 10**7
@@ -368,8 +368,8 @@ def _run_search(graph: Graph, init_cells: list[tuple[int, ...]], node_budget: in
     state = _SearchState(graph=graph, node_budget=node_budget, deadline=deadline)
     cells = _refine(graph._bits, init_cells)
     _search(state, cells, cells, True)
-    for g in state.gens:
-        assert is_automorphism(graph, g)
+    if not all(is_automorphism(graph, g) for g in state.gens):
+        raise CertificationError("search returned a permutation that is not an automorphism")
     return PermGroup(n=graph.n, gens=tuple(state.gens), origin=origin)
 
 
@@ -460,5 +460,5 @@ def _verify_paley_group(pc: PaleyConstruction, group: PermGroup) -> None:
         if f.sub(pc.order[i], pc.order[j]) in pc.squares
     ]
     graph = Graph(pc.q, edges)
-    for g in group.gens:
-        assert is_automorphism(graph, g), "analytic generator is not an automorphism"
+    if not all(is_automorphism(graph, g) for g in group.gens):
+        raise CertificationError("analytic generator is not an automorphism")

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from collections import deque
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -226,16 +226,6 @@ class SpanBasis(RowSpace):
         return f"SpanBasis(side={self.side}, dim={self.dim})"
 
 
-def span_insert(basis: SpanBasis, mat) -> tuple[SpanBasis, bool]:
-    """Insert a matrix into the span (in place); returns (basis, inserted)."""
-    return basis, basis.insert(mat) is not None
-
-
-def contains(basis: SpanBasis, mat) -> bool:
-    """Exact membership of a matrix in the rational row space."""
-    return basis.contains(mat)
-
-
 def identity_matrix(n: int) -> np.ndarray:
     return np.eye(n, dtype=np.int64)
 
@@ -271,22 +261,6 @@ def algebra_closure(generators: Sequence, side: int | None = None) -> SpanBasis:
             if row is not None:
                 queue.append(row.reshape(side, side).copy())
     return basis
-
-
-def is_multiplicatively_closed(basis: SpanBasis, pairs: Iterable[tuple[int, int]] | None = None) -> bool:
-    """Check products of basis representatives stay in the span.
-
-    With pairs=None every ordered pair is checked; callers with large bases
-    pass a deterministic sample instead.
-    """
-    mats = basis.matrices()
-    d = len(mats)
-    if pairs is None:
-        pairs = ((i, j) for i in range(d) for j in range(d))
-    for i, j in pairs:
-        if not basis.contains(exact_matmul(mats[i], mats[j])):
-            return False
-    return True
 
 
 def _left_nullspace_combos(rows: list[np.ndarray]) -> list[np.ndarray]:

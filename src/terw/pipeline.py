@@ -10,6 +10,7 @@ order, with records sorted by base representative inside each graph.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import os
@@ -19,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .algebras import build_T, chain_with_algebras
-from .errors import BudgetExceededError, DecompositionError
+from .errors import BudgetExceededError, CertificationError, DecompositionError
 from .graphs import Graph, iter_graph6_lines, parse_graph6, write_graph6
 from .groups import PermGroup, automorphism_group, vertex_orbits
 from .structure import WedderburnType, wedderburn_decompose
@@ -49,11 +50,12 @@ class ScanRecord:
 
     def validate(self) -> None:
         known = [d for d in self.dims if d is not None]
-        assert all(a <= b for a, b in zip(known, known[1:])), "dims must be nondecreasing"
+        if any(a > b for a, b in zip(known, known[1:])):
+            raise CertificationError("dims must be nondecreasing")
         for lvl in range(4):
             lo, hi = self.dims[lvl], self.dims[lvl + 1]
-            if lo is not None and hi is not None:
-                assert self.eq_flags[lvl] == (lo == hi), "flags inconsistent with dims"
+            if lo is not None and hi is not None and self.eq_flags[lvl] != (lo == hi):
+                raise CertificationError("flags inconsistent with dims")
 
 
 @dataclass
@@ -152,16 +154,8 @@ def _classify_base(graph, base, orbit_size, g6, levels, decompose, node_budget, 
                 status = STATUS_BUDGET
     if decompose and status == STATUS_OK:
         for lvl in levels:
-            if dims[lvl] is None:
-                continue
             try:
-                alg = algs.get(lvl)
-                if alg is None:
-                    alg = build_T(
-                        lvl, graph, base, stab=stab,
-                        node_budget=node_budget, time_budget=time_budget,
-                    )
-                types[lvl] = wedderburn_decompose(alg).type
+                types[lvl] = wedderburn_decompose(algs[lvl]).type
             except DecompositionError:
                 status = STATUS_DECOMPOSE
                 types[lvl] = None
@@ -185,32 +179,19 @@ def _matches_filter(rec: ScanRecord, filt: str) -> bool:
     return rec.eq_flags[idx] is False
 
 
-_WORKER_OPTS: dict = {}
-
-
-def _worker_init(opts: dict) -> None:
-    _WORKER_OPTS.update(opts)
-
-
-def _scan_one(payload: tuple[int, bytes], opts: Optional[dict] = None) -> tuple[int, Optional[list[ScanRecord]]]:
+def _scan_line(
+    payload: tuple[int, bytes], *, decompose: bool, node_budget: int, time_budget: Optional[float]
+) -> tuple[int, Optional[list[ScanRecord]]]:
     """Classify one corpus line; None marks a skipped disconnected graph."""
     lineno, line = payload
-    opts = opts if opts is not None else _WORKER_OPTS
     graph = parse_graph6(line)
     if not graph.is_connected():
         return lineno, None
     records = classify_graph(
-        graph,
-        decompose=opts.get("decompose", False),
-        node_budget=opts.get("node_budget", DEFAULT_NODE_BUDGET),
-        time_budget=opts.get("time_budget", DEFAULT_TIME_BUDGET),
+        graph, decompose=decompose, node_budget=node_budget, time_budget=time_budget,
         graph6=line.decode("ascii"),
     )
     return lineno, records
-
-
-def _scan_worker(payload: tuple[int, bytes]) -> tuple[int, Optional[list[ScanRecord]]]:
-    return _scan_one(payload)
 
 
 def scan_corpus(
@@ -233,7 +214,9 @@ def scan_corpus(
         raise ValueError(f"filter must be one of {FILTERS}")
     jobs = resolve_jobs(jobs)
     stats = stats if stats is not None else ScanStats()
-    opts = {"decompose": decompose, "node_budget": node_budget, "time_budget": time_budget}
+    scan_line = functools.partial(
+        _scan_line, decompose=decompose, node_budget=node_budget, time_budget=time_budget
+    )
 
     if isinstance(source, (str, os.PathLike)):
         with open(source, "rb") as fh:
@@ -242,14 +225,10 @@ def scan_corpus(
         entries = list(iter_graph6_lines(source))
 
     if jobs <= 1:
-        results: Iterable = (_scan_one(e, opts) for e in entries)
-        yield from _emit_scan(results, filter, stats)
+        yield from _emit_scan(map(scan_line, entries), filter, stats)
     else:
-        with ProcessPoolExecutor(
-            max_workers=jobs, initializer=_worker_init, initargs=(opts,)
-        ) as pool:
-            results = pool.map(_scan_worker, entries, chunksize=16)
-            yield from _emit_scan(results, filter, stats)
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            yield from _emit_scan(pool.map(scan_line, entries, chunksize=16), filter, stats)
 
 
 def _emit_scan(results, filt, stats) -> Iterator[ScanRecord]:

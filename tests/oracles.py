@@ -3,8 +3,10 @@
 Everything here recomputes expected values by a route different from the
 package's own: brute-force permutation filtering for automorphisms, a
 string-of-bits graph6 encoder, common-neighbor counting for strong
-regularity, and a fully exact Wedderburn type via minimal-polynomial
-factorization with rational projector arithmetic (sympy).
+regularity, products and memberships checked by exact elimination where
+the package certifies closure and containment from partition facts, and a
+fully exact Wedderburn type via minimal-polynomial factorization with
+rational projector arithmetic (sympy).
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import numpy as np
 import sympy
 
 from terw.graphs import Graph
+from terw.linalg import SpanBasis, exact_matmul
 
 
 def brute_automorphisms(graph: Graph) -> list[tuple[int, ...]]:
@@ -75,6 +78,18 @@ def hand_graph6(graph: Graph) -> bytes:
         bits += "0"
     body = [int(bits[k : k + 6], 2) + 63 for k in range(0, len(bits), 6)]
     return bytes(head + body)
+
+
+def is_multiplicatively_closed(basis: SpanBasis, pairs=None) -> bool:
+    """Products of basis representatives stay in the span, by elimination.
+
+    With pairs=None every ordered pair is checked.
+    """
+    mats = basis.matrices()
+    d = len(mats)
+    if pairs is None:
+        pairs = ((i, j) for i in range(d) for j in range(d))
+    return all(basis.contains(exact_matmul(mats[i], mats[j])) for i, j in pairs)
 
 
 def brute_srg_params(graph: Graph):

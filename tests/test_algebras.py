@@ -1,19 +1,36 @@
+import os
+import pathlib
+import random
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import terw
+from terw import algebras
 from terw.graphs import Graph, gen_cycle, gen_delta, gen_paley, gen_path, gen_star
-from terw.groups import paley_stabilizer_generators
+from terw.groups import (
+    OrbitalPartition,
+    Perm,
+    PermGroup,
+    automorphism_group,
+    paley_stabilizer_generators,
+    vertex_orbits,
+)
 from terw.algebras import (
     build_T,
     chain_with_algebras,
     corner,
     idempotent_for_set,
-    inclusion_chain_report,
     is_commutative,
     pendant_reduction_check,
     principal_row_dim,
 )
+from terw.errors import CertificationError
 from terw.linalg import SpanBasis
+
+from oracles import is_multiplicatively_closed
 
 
 def _mat(rows):
@@ -134,19 +151,19 @@ class TestKiteApexFixtures:
 
 class TestChainReport:
     def test_delta5_chain(self):
-        rep = inclusion_chain_report(gen_delta(5), 4)
+        rep, _ = chain_with_algebras(gen_delta(5), 4)
         assert rep.dims == (5, 11, 11, 13, 13)
         assert rep.equal_next == (False, True, False, True)
         assert set(rep.witnesses) == {0, 2}
 
     def test_paley13_chain(self):
         g, pc = gen_paley(13)
-        rep = inclusion_chain_report(g, 0, stab=paley_stabilizer_generators(pc))
+        rep, _ = chain_with_algebras(g, 0, stab=paley_stabilizer_generators(pc))
         assert rep.dims == (3, 11, 21, 21, 29)
         assert rep.equal_next == (False, False, True, False)
 
     def test_triangle_chain(self):
-        rep = inclusion_chain_report(gen_cycle(3), 0)
+        rep, _ = chain_with_algebras(gen_cycle(3), 0)
         assert rep.dims == (2, 5, 5, 5, 5)
         assert rep.equal_next == (False, True, True, True)
         assert rep.dims[4] < 9
@@ -156,6 +173,92 @@ class TestChainReport:
         w = rep.witnesses[2]
         assert not algs[2].contains(w)
         assert algs[3].contains(w)
+
+    def test_one_stabilizer_search_per_base(self, monkeypatch):
+        calls = []
+        search = algebras.stabilizer
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(algebras, "stabilizer", counted)
+        chain_with_algebras(gen_delta(5), 4)
+        assert calls == [4]
+
+
+def _orbit_representatives(graph):
+    return [cell[0] for cell in vertex_orbits(automorphism_group(graph)).cells]
+
+
+def _certificate_cases(corpus):
+    """Every base-orbit representative of every connected graph with n <= 5,
+    and of a fixed-seed sample of 20 graphs with n = 6."""
+    graphs = [g for n in range(1, 6) for g in corpus[n]]
+    graphs += random.Random(0).sample(corpus[6], 20)
+    return [(g, base) for g in graphs for base in _orbit_representatives(g)]
+
+
+class TestCertificatesAgainstElimination:
+    """The partition certificates agree with the exact elimination checks."""
+
+    def test_level4_closed_and_each_level_inside_the_next(self, corpus):
+        for g, base in _certificate_cases(corpus):
+            _, algs = chain_with_algebras(g, base)
+            assert is_multiplicatively_closed(algs[4].basis), (g.n, base)
+            for small, big in zip(algs, algs[1:]):
+                assert all(big.contains(m) for m in small.basis.matrices()), (g.n, base, small.level)
+
+
+# partitions of the pairs of 3 points that are not the orbitals of the group
+# swapping 1 and 2, each breaking one fact of the level-4 certificate
+_TAMPERED_ORBITALS = {
+    "split": [[(0, 0)], [(0, 1)], [(0, 2)], [(1, 0), (2, 0)], [(1, 1), (2, 2)], [(1, 2), (2, 1)]],
+    "diagonal": [[(0, 0), (1, 2), (2, 1)], [(0, 1), (0, 2)], [(1, 0), (2, 0)], [(1, 1), (2, 2)]],
+    "transpose": [[(0, 0)], [(0, 1), (0, 2), (1, 2), (2, 1)], [(1, 0), (2, 0)], [(1, 1), (2, 2)]],
+}
+
+
+@pytest.mark.parametrize("tamper", sorted(_TAMPERED_ORBITALS))
+def test_level4_certificate_rejects_tampered_orbitals(monkeypatch, tamper):
+    cells = tuple(tuple(c) for c in _TAMPERED_ORBITALS[tamper])
+    monkeypatch.setattr(algebras, "orbitals", lambda group: OrbitalPartition(3, cells))
+    with pytest.raises(CertificationError):
+        build_T(4, gen_cycle(3), 0, stab=PermGroup(3, (Perm((0, 2, 1)),)))
+
+
+_UNDER_O = """
+from terw.algebras import chain_with_algebras
+from terw.errors import CertificationError
+from terw.graphs import gen_cycle, gen_delta
+from terw.groups import Perm, PermGroup
+from terw.pipeline import ScanRecord
+
+
+def raises(fn):
+    try:
+        fn()
+    except CertificationError:
+        return True
+    return False
+
+
+cases = [
+    lambda: ScanRecord("Bw", 3, 0, 3, (1, 2, 2, 2, 2), (True, True, True, True), None, "ok").validate(),
+    lambda: chain_with_algebras(gen_delta(5), 4, stab=PermGroup(5, (Perm((1, 0, 2, 3, 4)),))),
+    lambda: chain_with_algebras(gen_cycle(5), 0, stab=PermGroup(5, (Perm((1, 2, 3, 4, 0)),))),
+]
+print(__debug__, [raises(case) for case in cases])
+"""
+
+
+def test_checks_run_under_python_O():
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(terw.__file__).resolve().parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", _UNDER_O], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["False", "[True,", "True,", "True]"]
 
 
 class TestCorner:

@@ -110,3 +110,15 @@ def test_budget_status_recorded(tmp_path):
     assert recs
     assert all(r.status == "stabilizer-budget-exceeded" for r in recs)
     assert all(r.dims[3] is None and r.dims[4] is None for r in recs)
+
+    # a stabilizer budget miss at a nontrivially stabilized base still reports
+    # levels 0-2, equal to the unbudgeted chain's
+    from terw.algebras import chain_with_algebras
+    from terw.pipeline import classify_graph
+
+    recs = classify_graph(gen_delta(6), bases=[4, 5], node_budget=2)
+    assert all(r.status == "stabilizer-budget-exceeded" for r in recs)
+    for rec in recs:
+        report, _ = chain_with_algebras(gen_delta(6), rec.base)
+        assert rec.dims[:3] == report.dims[:3]
+        assert rec.dims[3] is None and rec.dims[4] is None
