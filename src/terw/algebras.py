@@ -220,15 +220,16 @@ def chain_with_algebras(
 ) -> tuple[ChainReport, list[AlgebraBasis]]:
     """Dims of all five algebras, adjacency equality flags, and the algebras.
 
-    The base stabilizer is searched once (unless given), before any closure,
-    and shared by levels 3 and 4.  Containment of each algebra in the next
-    is certified from partition facts (see the module docstring); for each
-    strict step the first basis matrix of the larger algebra outside the
-    smaller one is kept as a witness.
+    Without a given stabilizer, levels 3 and 4 each search it under the
+    budgets.  Containment of each algebra in the next is certified from
+    partition facts (see the module docstring); for each strict step the
+    first basis matrix of the larger algebra outside the smaller one is kept
+    as a witness.
     """
-    if stab is None:
-        stab = stabilizer(graph, base, node_budget=node_budget, time_budget=time_budget)
-    algs = [build_T(lvl, graph, base, stab=stab) for lvl in LEVELS]
+    algs = [
+        build_T(lvl, graph, base, stab=stab, node_budget=node_budget, time_budget=time_budget)
+        for lvl in LEVELS
+    ]
     _certify_chain(graph, algs)
     flags = []
     witnesses: dict[int, np.ndarray] = {}

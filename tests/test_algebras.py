@@ -174,7 +174,7 @@ class TestChainReport:
         assert not algs[2].contains(w)
         assert algs[3].contains(w)
 
-    def test_one_stabilizer_search_per_base(self, monkeypatch):
+    def test_stabilizer_searched_per_level_unless_given(self, monkeypatch):
         calls = []
         search = algebras.stabilizer
 
@@ -183,8 +183,11 @@ class TestChainReport:
             return search(*args, **kwargs)
 
         monkeypatch.setattr(algebras, "stabilizer", counted)
-        chain_with_algebras(gen_delta(5), 4)
-        assert calls == [4]
+        rep, _ = chain_with_algebras(gen_delta(5), 4)
+        assert calls == [4, 4]
+        given = search(gen_delta(5), 4)
+        assert chain_with_algebras(gen_delta(5), 4, stab=given)[0].dims == rep.dims
+        assert calls == [4, 4]
 
 
 def _orbit_representatives(graph):
