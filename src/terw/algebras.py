@@ -238,10 +238,8 @@ def chain_with_algebras(
         eq = small.dim == big.dim
         flags.append(eq)
         if not eq:
-            for m in big.basis.matrices():
-                if not small.contains(m):
-                    witnesses[lvl] = m
-                    break
+            outside = np.any(small.basis.reduce_block(big.basis.rows), axis=1)
+            witnesses[lvl] = big.basis.rows[int(np.argmax(outside))].reshape(graph.n, graph.n)
     report = ChainReport(dims=tuple(a.dim for a in algs), equal_next=tuple(flags), witnesses=witnesses)
     return report, algs
 
@@ -252,8 +250,7 @@ def corner(algebra: AlgebraBasis | SpanBasis, vertices) -> SpanBasis:
     n = basis.side
     e = idempotent_for_set(n, vertices)
     out = SpanBasis(n)
-    for m in basis.matrices():
-        out.insert(exact_matmul(exact_matmul(e, m), e))
+    out.insert_block(exact_matmul(exact_matmul(e, basis.rows.reshape(-1, n, n)), e).reshape(basis.dim, n * n))
     return out
 
 
@@ -278,8 +275,7 @@ def principal_row_dim(algebra: AlgebraBasis, base: Optional[int] = None) -> int:
         base = algebra.base
     if algebra.level < 1:
         raise ValueError("needs a level >= 1 algebra")
-    rows = [m[base].copy() for m in algebra.basis.matrices()]
-    return linalg.row_space_rank(rows)
+    return linalg.row_space_rank(algebra.basis.rows.reshape(algebra.dim, algebra.n, algebra.n)[:, base])
 
 
 def _delete_vertex(graph: Graph, v: int) -> tuple[Graph, list[int]]:

@@ -30,7 +30,9 @@ from .graphs import (
     parse_graph6,
     write_graph6,
 )
-from .pipeline import FILTERS, ScanStats, classify_graph, emit_report, resolve_jobs, scan_corpus
+from .pipeline import (
+    FILTERS, STATUS_BUDGET, ScanStats, classify_graph, emit_report, resolve_jobs, scan_corpus,
+)
 from .structure import wedderburn_decompose
 
 EXIT_OK = 0
@@ -114,6 +116,8 @@ def _cmd_compute(args) -> int:
             )
         )
     sys.stdout.buffer.write(emit_report(records, args.format))
+    if any(rec.status == STATUS_BUDGET for rec in records):
+        return EXIT_BUDGET
     return EXIT_OK
 
 
@@ -160,7 +164,7 @@ def _cmd_scan(args) -> int:
         f"emitted {stats.records} records",
         file=sys.stderr,
     )
-    if stats.statuses.get("stabilizer-budget-exceeded"):
+    if stats.statuses.get(STATUS_BUDGET):
         return EXIT_BUDGET
     return EXIT_OK
 

@@ -1,84 +1,100 @@
 """Exact rational linear algebra on vectorized n-by-n integer matrices.
 
-Spans are kept in reduced echelon form over the rationals.  Rows are stored
-fraction-free: each stored row is a primitive integer vector (content 1,
-positive pivot) representing the rational row obtained by dividing it by its
-pivot entry.  All arithmetic is exact; no floating point enters this module.
-A fast int64 path is used whenever a conservative bound rules out overflow,
-with arbitrary-precision Python integers as the fallback.
+A span is kept as its reduced row echelon form over the rationals, stored
+fraction-free in one 2-D array: each row is a primitive integer vector
+(content 1) whose pivot entry is positive, and every pivot column is zero
+in all other rows.  That form is unique for a span, so bases built by any
+route agree entry for entry.  The array is int64 while every entry is
+below 2**62, and Python integers (object dtype) while any entry needs more.
+
+One kernel does all elimination, a block of rows at a time:
+
+  * ``reduce_block(P)`` reduces every row of P against the basis in one
+    step, ``L*P - (P[:, piv] * (L/p)) @ R`` with p the pivot values and L
+    their lcm (1 in the common case).  A float64 bound on the result picks
+    int64 arithmetic, else the same expression runs on object dtype.
+  * ``absorb_block(S)`` adds reduced rows: it eliminates among them only,
+    with one vectorised update of the remaining rows and of the basis per
+    new pivot, the same step against the one-row basis of that pivot.
+
+``reduce``, ``contains`` and ``insert`` are their one-row case, and
+``algebra_closure`` feeds them one layer of products at a time.  Integer
+products whose partial sums stay below 2**53 run as float64 (BLAS) products,
+which are exact there; otherwise floats only bound magnitudes.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
-from collections import deque
 from typing import Sequence
 
 import numpy as np
 
 _INT64_LIMIT = 2**62
+# float64 bounds round; this leaves a factor of four below int64 overflow
+_BOUND_LIMIT = 2**61
+# below this every partial sum of an integer product is a float64 integer
+_FLOAT_EXACT = 2**53
 
 
-def _maxabs(v: np.ndarray) -> int:
-    if v.size == 0:
+def _maxabs(a: np.ndarray) -> int:
+    if a.size == 0:
         return 0
-    return max(int(v.max()), -int(v.min()))
+    return max(int(a.max()), -int(a.min()))
 
 
-def _as_object(v: np.ndarray) -> np.ndarray:
-    return v if v.dtype == object else v.astype(object)
+def _as_object(a: np.ndarray) -> np.ndarray:
+    return a if a.dtype == object else a.astype(object)
 
 
-def _try_int64(v: np.ndarray) -> np.ndarray:
-    """Downcast an object row back to int64 when every entry fits."""
-    if v.dtype != object:
-        return v
-    if _maxabs(v) < _INT64_LIMIT:
-        return v.astype(np.int64)
-    return v
+def _fit(a: np.ndarray) -> np.ndarray:
+    """int64 form of an object array whose entries all fit, else the array."""
+    if a.dtype == object and _maxabs(a) < _INT64_LIMIT:
+        return a.astype(np.int64)
+    return a
 
 
-def _content(v: np.ndarray) -> int:
-    if v.dtype == object:
-        g = 0
-        for x in v:
-            g = math.gcd(g, int(x))
-            if g == 1:
-                break
-        return g
-    return int(np.gcd.reduce(np.abs(v)))
+def _primitive_rows(rows: np.ndarray) -> np.ndarray:
+    """Each nonzero row divided by its content (the gcd of its entries)."""
+    g = np.gcd.reduce(rows, axis=1, initial=0)
+    if not np.any(g > 1):
+        return rows
+    g[g == 0] = 1
+    return _fit(rows // g[:, None])
 
 
-def row_combine(p: int, v: np.ndarray, c: int, b: np.ndarray) -> np.ndarray:
-    """Exact p*v - c*b with automatic promotion out of int64."""
-    if v.dtype != object and b.dtype != object:
-        bound = abs(p) * _maxabs(v) + abs(c) * _maxabs(b)
-        if bound < _INT64_LIMIT:
-            return p * v - c * b
-    return _as_object(v) * p - _as_object(b) * c
+def _int_matmul(a: np.ndarray, b: np.ndarray, bound: float) -> np.ndarray:
+    """a @ b for int64 operands whose partial sums are at most bound.
 
-
-def make_primitive(v: np.ndarray) -> np.ndarray:
-    """Divide by the content and make the leading nonzero entry positive."""
-    g = _content(v)
-    if g == 0:
-        return v
-    if g > 1:
-        v = v // g
-    nz = np.flatnonzero(v)
-    if nz.size and v[nz[0]] < 0:
-        v = -v
-    return _try_int64(v)
+    Under 2**53 the float64 (BLAS) product is exact: every term and partial
+    sum is an integer that float64 represents.
+    """
+    if bound < _FLOAT_EXACT:
+        return np.matmul(a.astype(np.float64), b.astype(np.float64)).astype(np.int64)
+    return np.matmul(a, b)
 
 
 def exact_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Exact integer matrix product with an int64 fast path."""
+    """Exact integer (batched) matrix product with int64 and float64 fast paths."""
     if a.dtype != object and b.dtype != object:
-        bound = a.shape[1] * _maxabs(a) * _maxabs(b)
+        bound = a.shape[-1] * _maxabs(a) * _maxabs(b)
         if bound < _INT64_LIMIT:
-            return a @ b
-    return np.dot(_as_object(a), _as_object(b))
+            return _int_matmul(a, b, bound)
+    return np.matmul(_as_object(a), _as_object(b))
+
+
+def _eliminate(p_blk: np.ndarray, lcm: int, c: np.ndarray, f: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Exact lcm*p_blk - (c * f) @ r, the one elimination step.
+
+    int64 when the float64 bound lcm*max|p_blk| + max_j sum_i |c_ji|*f_i*max|r_i|
+    is below 2**61 (every row of r is nonzero), else the same on object dtype.
+    """
+    if all(x.dtype != object for x in (p_blk, c, f, r)) and lcm < _BOUND_LIMIT:
+        weight = f * np.abs(r).max(axis=1).astype(np.float64)
+        bound = lcm * _maxabs(p_blk) + float(np.max(np.abs(c).astype(np.float64) @ weight))
+        if bound < _BOUND_LIMIT:
+            return lcm * p_blk - _int_matmul(c * f, r, bound)
+    return _fit(_as_object(p_blk) * lcm - (_as_object(c) * _as_object(f)) @ _as_object(r))
 
 
 def as_int_matrix(mat, side: int | None = None) -> np.ndarray:
@@ -99,94 +115,141 @@ def as_int_matrix(mat, side: int | None = None) -> np.ndarray:
 
 
 class RowSpace:
-    """Reduced echelon basis of a rational row space of fixed width.
+    """Reduced echelon basis of a rational row space of fixed width."""
 
-    Each stored row carries a cached bound on its largest absolute entry so
-    that eliminations can pick the safe int64 path without rescanning.
-    """
-
-    __slots__ = ("width", "rows", "pivots", "row_max")
+    __slots__ = ("width", "_buf", "_piv")
 
     def __init__(self, width: int):
         if width < 1:
             raise ValueError("width must be positive")
         self.width = width
-        self.rows: list[np.ndarray] = []
-        self.pivots: list[int] = []
-        self.row_max: list[int] = []
+        self._buf = np.zeros((0, width), dtype=np.int64)
+        self._piv = np.zeros(0, dtype=np.intp)
+
+    @property
+    def rows(self) -> np.ndarray:
+        """The dim-by-width basis rows in pivot order.
+
+        Rows in this view are never written later, so it stays valid; rows
+        appended later go to spare capacity past its end.
+        """
+        return self._buf[: len(self._piv)]
 
     @property
     def dim(self) -> int:
-        return len(self.rows)
+        return len(self._piv)
 
-    def _check(self, v: np.ndarray) -> np.ndarray:
-        if v.ndim != 1 or v.shape[0] != self.width:
+    @property
+    def pivots(self) -> list[int]:
+        return self._piv.tolist()
+
+    def _block(self, block) -> np.ndarray:
+        b = np.asarray(block)
+        if b.ndim != 2 or b.shape[1] != self.width:
             raise ValueError("vector length does not match row-space width")
-        if v.dtype != np.int64 and v.dtype != object and not np.issubdtype(v.dtype, np.integer):
+        if b.dtype == object:
+            return b
+        if not np.issubdtype(b.dtype, np.integer):
             raise TypeError("rows must be integer vectors")
-        return v
+        return b.astype(np.int64, copy=False)
+
+    def reduce_block(self, block) -> np.ndarray:
+        """Residuals of the rows of a block against the basis, in one step.
+
+        Row j of the result is a positive multiple of row j of the block
+        minus a combination of basis rows, and is zero in every pivot column;
+        it is zero exactly when the row lies in the span.
+        """
+        p_blk = self._block(block)
+        r, piv = self.rows, self._piv
+        c = p_blk[:, piv]
+        if not np.any(c):
+            return p_blk.copy()
+        pv = r[np.arange(len(piv)), piv].tolist()
+        lcm = math.lcm(*pv)
+        f = np.array([lcm // x for x in pv], dtype=np.int64 if lcm < _BOUND_LIMIT else object)
+        return _eliminate(p_blk, lcm, c, f, r)
+
+    def absorb_block(self, block) -> np.ndarray:
+        """Add rows already reduced by ``reduce_block``; returns the new basis rows.
+
+        Added rows become pivots one at a time, smallest leading entry first,
+        and each new pivot column is cleared from every other row in one
+        update.  When the added rows' support lies past the last pivot and no
+        basis row meets it, the basis rows need no update and the new rows go
+        into spare capacity past the end: a basis built one row at a time in
+        pivot order is not copied once per row.
+        """
+        s = self._block(block)
+        s = s[np.any(s != 0, axis=1)]
+        if len(s) == 0:
+            return s
+        s = _primitive_rows(s)
+        k0 = self.dim
+        support = np.flatnonzero(np.any(s != 0, axis=0))
+        append = k0 == 0 or (support[0] > self._piv[-1] and not np.any(self.rows[:, support]))
+        w = s if append else np.concatenate([self.rows, s])
+        piv = ([] if append else self._piv.tolist()) + [-1] * len(s)
+        todo = list(range(len(w) - len(s), len(w)))
+        one = np.ones(1, dtype=np.int64)
+        while todo:
+            sub = w[todo]
+            lead = np.argmax(sub != 0, axis=1).tolist()
+            val = sub[np.arange(len(todo)), lead].tolist()
+            j = min(range(len(todo)), key=lambda t: (abs(val[t]), lead[t]))
+            i, col, a = todo.pop(j), lead[j], abs(val[j])
+            if val[j] < 0:
+                w[i] = -w[i]
+            piv[i] = col
+            hit = np.flatnonzero(w[:, col])
+            hit = hit[hit != i]
+            if not hit.size:
+                continue
+            upd = _primitive_rows(_eliminate(w[hit], a, w[hit, col][:, None], one, w[i][None]))
+            if upd.dtype == object and w.dtype != object:
+                w = w.astype(object)
+            w[hit] = upd
+            w = _fit(w)
+            gone = set(hit[~np.any(upd != 0, axis=1)].tolist())
+            if gone:
+                todo = [t for t in todo if t not in gone]
+        keep = sorted((t for t in range(len(w)) if piv[t] >= 0), key=piv.__getitem__)
+        w = _fit(w if keep == list(range(len(w))) else w[keep])
+        piv = np.array([piv[t] for t in keep], dtype=np.intp)
+        if not append:
+            self._buf, self._piv = w, piv
+            return w[np.array(keep) >= k0]
+        dtype = np.result_type(self._buf, w)
+        if len(self._buf) < k0 + len(w) or self._buf.dtype != dtype:
+            buf = np.empty((min(2 * (k0 + len(w)), self.width), self.width), dtype=dtype)
+            buf[:k0] = self.rows
+            self._buf = buf
+        self._buf[k0 : k0 + len(w)] = w
+        self._piv = np.concatenate([self._piv, piv])
+        return w
+
+    def insert_block(self, block) -> np.ndarray:
+        """Add every row of a block to the span; returns the new basis rows."""
+        return self.absorb_block(self.reduce_block(block))
 
     def reduce(self, vec: np.ndarray) -> np.ndarray:
-        """Fully reduce a vector against the basis; returns the residual.
-
-        Content is stripped only once entries grow past a threshold, which
-        keeps the common small-entry case cheap without risking blowup.
-        """
-        v = self._check(np.asarray(vec)).copy()
-        vmax = _maxabs(v)
-        for i, piv in enumerate(self.pivots):
-            c = v[piv]
-            if not c:
-                continue
-            row = self.rows[i]
-            p = int(row[piv])
-            c = int(c)
-            bound = p * vmax + abs(c) * self.row_max[i]
-            if v.dtype != object and row.dtype != object and bound < _INT64_LIMIT:
-                v = p * v
-                v -= c * row
-                vmax = bound
-            else:
-                v = _as_object(v) * p - _as_object(row) * c
-                vmax = bound
-            if vmax > 2**48:
-                g = _content(v)
-                if g > 1:
-                    v = _try_int64(v // g)
-                v = _try_int64(v)
-                vmax = _maxabs(v)
-        return v
+        """Residual of one vector against the basis (zero iff it is in the span)."""
+        return self.reduce_block(np.asarray(vec)[None])[0]
 
     def contains(self, vec: np.ndarray) -> bool:
         return not np.any(self.reduce(vec))
 
     def insert(self, vec: np.ndarray) -> np.ndarray | None:
-        """Insert a vector; returns the stored residual row, or None if dependent."""
-        v = self.reduce(vec)
-        if not np.any(v):
-            return None
-        v = make_primitive(v)
-        piv = int(np.flatnonzero(v)[0])
-        pv = int(v[piv])
-        vmax = _maxabs(v)
-        for i, row in enumerate(self.rows):
-            c = row[piv]
-            if c:
-                newrow = make_primitive(row_combine(pv, row, int(c), v))
-                self.rows[i] = newrow
-                self.row_max[i] = _maxabs(newrow)
-        pos = bisect_left(self.pivots, piv)
-        self.pivots.insert(pos, piv)
-        self.rows.insert(pos, v)
-        self.row_max.insert(pos, vmax)
-        return v
+        """Insert a vector; returns the stored row, or None if dependent."""
+        new = self.insert_block(np.asarray(vec)[None])
+        return new[0] if len(new) else None
 
 
 class SpanBasis(RowSpace):
     """Row space of vectorized (row-major) n-by-n integer matrices.
 
-    The reduced echelon normal form makes dimensions exact and bases built in
-    the same insertion order identical entry for entry.
+    The reduced echelon normal form makes dimensions exact and makes the
+    basis of a span the same entry for entry, whatever built it.
     """
 
     __slots__ = ("side",)
@@ -199,7 +262,7 @@ class SpanBasis(RowSpace):
 
     def _vec(self, mat) -> np.ndarray:
         if isinstance(mat, np.ndarray) and mat.ndim == 1:
-            return self._check(mat)
+            return mat
         return as_int_matrix(mat, self.side).reshape(self.width)
 
     def reduce(self, mat) -> np.ndarray:
@@ -208,37 +271,23 @@ class SpanBasis(RowSpace):
     def insert(self, mat) -> np.ndarray | None:
         return super().insert(self._vec(mat))
 
-    def contains(self, mat) -> bool:
-        return not np.any(self.reduce(mat))
-
-    def copy(self) -> "SpanBasis":
-        dup = SpanBasis(self.side)
-        dup.rows = [r.copy() for r in self.rows]
-        dup.pivots = list(self.pivots)
-        dup.row_max = list(self.row_max)
-        return dup
-
     def matrices(self) -> list[np.ndarray]:
         n = self.side
-        return [r.reshape(n, n) for r in self.rows]
+        return list(self.rows.reshape(-1, n, n))
 
     def __repr__(self) -> str:
         return f"SpanBasis(side={self.side}, dim={self.dim})"
 
 
-def identity_matrix(n: int) -> np.ndarray:
-    return np.eye(n, dtype=np.int64)
-
-
 def algebra_closure(generators: Sequence, side: int | None = None) -> SpanBasis:
     """Basis of the smallest unital algebra containing the generators.
 
-    Seeds the span with the identity and the generators, then repeatedly
-    left-multiplies worklist representatives by each generator until no new
-    element appears.  Every word in the generators is reachable from the
-    identity this way, so the result is multiplicatively closed.  Insertion
-    order is fixed (identity, generators in declared order, FIFO worklist),
-    which makes the output basis reproducible.
+    Seeds the span with the identity and the generators, then left-multiplies
+    the newest layer of basis rows by every generator at once, adding the
+    products as one block, until a layer adds nothing.  Every word in the
+    generators lies in the span of the layers, so the result is
+    multiplicatively closed; the echelon normal form makes it independent
+    of the order of work.
     """
     gens = [as_int_matrix(g, side) for g in generators]
     if side is None:
@@ -249,35 +298,27 @@ def algebra_closure(generators: Sequence, side: int | None = None) -> SpanBasis:
         if g.shape[0] != side:
             raise ValueError("generators must share one matrix size")
     basis = SpanBasis(side)
-    queue: deque[np.ndarray] = deque()
-    for seed in [identity_matrix(side)] + gens:
-        row = basis.insert(seed)
-        if row is not None:
-            queue.append(row.reshape(side, side).copy())
-    while queue:
-        m = queue.popleft()
-        for g in gens:
-            row = basis.insert(exact_matmul(g, m))
-            if row is not None:
-                queue.append(row.reshape(side, side).copy())
+    seeds = [np.eye(side, dtype=np.int64)] + gens
+    layer = basis.insert_block(np.stack(seeds).reshape(len(seeds), side * side))
+    if not gens:
+        return basis
+    g_stack = np.stack(gens)[:, None]
+    while len(layer):
+        prods = exact_matmul(g_stack, layer.reshape(1, -1, side, side))
+        layer = basis.insert_block(prods.reshape(-1, side * side))
     return basis
 
 
-def _left_nullspace_combos(rows: list[np.ndarray]) -> list[np.ndarray]:
-    """Integer vectors x with sum_t x[t]*rows[t] = 0.
+def _left_nullspace_combos(rows: np.ndarray) -> np.ndarray:
+    """Integer vectors x, one per row, with x @ rows = 0, spanning all such x.
 
-    Row-reduces the block [rows | I]; reduced rows whose left block vanished
-    carry a null combination in the right block.
+    Row-reduces the block [rows | I] as one block; reduced rows whose left
+    part vanished carry a null combination in the right part.
     """
-    d = len(rows)
-    width = rows[0].shape[0]
+    d, width = rows.shape
     aug = RowSpace(width + d)
-    for t, r in enumerate(rows):
-        v = np.zeros(width + d, dtype=object)
-        v[:width] = _as_object(r)
-        v[width + t] = 1
-        aug.insert(_try_int64(v))
-    return [row[width:] for piv, row in zip(aug.pivots, aug.rows) if piv >= width]
+    aug.insert_block(np.hstack([rows, np.eye(d, dtype=np.int64)]))
+    return aug.rows[aug._piv >= width, width:]
 
 
 def center_basis(basis: SpanBasis) -> SpanBasis:
@@ -290,41 +331,33 @@ def center_basis(basis: SpanBasis) -> SpanBasis:
     spans that are not algebras.
     """
     n = basis.side
-    mats = basis.matrices()
-    if not mats:
-        raise ValueError("empty basis has no center")
+    mats = basis.rows.reshape(-1, n, n)
     d = len(mats)
-    for i, j in {(0, 0), (0, d - 1), (d - 1, 0), (d // 2, d // 2)}:
-        if not basis.contains(exact_matmul(mats[i], mats[j])):
-            raise ValueError("input span is not multiplicatively closed")
-    cands: list[np.ndarray] = [m.copy() for m in mats]
+    if not d:
+        raise ValueError("empty basis has no center")
+    pairs = sorted({(0, 0), (0, d - 1), (d - 1, 0), (d // 2, d // 2)})
+    left, right = (np.array(ix) for ix in zip(*pairs))
+    if np.any(basis.reduce_block(exact_matmul(mats[left], mats[right]).reshape(len(pairs), -1))):
+        raise ValueError("input span is not multiplicatively closed")
+    cands = mats
     for b in mats:
-        if not cands:
+        if not len(cands):
             break
-        comms = [exact_matmul(z, b) - exact_matmul(b, z) for z in cands]
-        if not any(np.any(c) for c in comms):
+        comms = exact_matmul(cands, b) - exact_matmul(b, cands)
+        if not np.any(comms):
             continue
-        combos = _left_nullspace_combos([c.reshape(n * n) for c in comms])
-        new_cands = []
-        for combo in combos:
-            z = np.zeros(n * n, dtype=object)
-            for t, coef in enumerate(combo):
-                if coef:
-                    z = z + _as_object(cands[t].reshape(n * n)) * int(coef)
-            new_cands.append(_try_int64(z).reshape(n, n))
-        cands = new_cands
+        combos = _left_nullspace_combos(comms.reshape(len(cands), n * n))
+        cands = exact_matmul(combos, cands.reshape(len(cands), n * n))
+        cands = _primitive_rows(cands).reshape(-1, n, n)
     center = SpanBasis(n)
-    for z in cands:
-        center.insert(z)
+    center.insert_block(cands.reshape(len(cands), n * n))
     return center
 
 
 def row_space_rank(rows: Sequence[np.ndarray]) -> int:
     """Exact rank of a list of integer row vectors of one common length."""
-    rows = list(rows)
-    if not rows:
+    if not len(rows):
         return 0
     sp = RowSpace(len(rows[0]))
-    for r in rows:
-        sp.insert(np.asarray(r))
+    sp.insert_block(np.stack(rows))
     return sp.dim

@@ -4,21 +4,24 @@ Everything here recomputes expected values by a route different from the
 package's own: brute-force permutation filtering for automorphisms, a
 string-of-bits graph6 encoder, common-neighbor counting for strong
 regularity, products and memberships checked by exact elimination where
-the package certifies closure and containment from partition facts, and a
-fully exact Wedderburn type via minimal-polynomial factorization with
-rational projector arithmetic (sympy).
+the package certifies closure and containment from partition facts, a
+row-at-a-time elimination and closure where the package works a block of
+rows at a time, and a fully exact Wedderburn type via minimal-polynomial
+factorization with rational projector arithmetic (sympy).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_left
+from collections import deque
 
 import numpy as np
 import sympy
 
 from terw.graphs import Graph
-from terw.linalg import SpanBasis, exact_matmul
+from terw.linalg import SpanBasis, as_int_matrix, exact_matmul
 
 
 def brute_automorphisms(graph: Graph) -> list[tuple[int, ...]]:
@@ -90,6 +93,105 @@ def is_multiplicatively_closed(basis: SpanBasis, pairs=None) -> bool:
     if pairs is None:
         pairs = ((i, j) for i in range(d) for j in range(d))
     return all(basis.contains(exact_matmul(mats[i], mats[j])) for i, j in pairs)
+
+
+# ---------------------------------------------------------------------------
+# row-at-a-time exact elimination and closure
+# ---------------------------------------------------------------------------
+
+_ROW_INT64_LIMIT = 2**62
+
+
+def _row_maxabs(v: np.ndarray) -> int:
+    return max(int(v.max()), -int(v.min())) if v.size else 0
+
+
+def _row_object(v: np.ndarray) -> np.ndarray:
+    return v if v.dtype == object else v.astype(object)
+
+
+def _row_fit(v: np.ndarray) -> np.ndarray:
+    if v.dtype == object and _row_maxabs(v) < _ROW_INT64_LIMIT:
+        return v.astype(np.int64)
+    return v
+
+
+def _row_combine(p: int, v: np.ndarray, c: int, b: np.ndarray) -> np.ndarray:
+    """Exact p*v - c*b."""
+    if v.dtype != object and b.dtype != object:
+        if abs(p) * _row_maxabs(v) + abs(c) * _row_maxabs(b) < _ROW_INT64_LIMIT:
+            return p * v - c * b
+    return _row_object(v) * p - _row_object(b) * c
+
+
+def _row_primitive(v: np.ndarray) -> np.ndarray:
+    """Divide by the content and make the leading nonzero entry positive."""
+    g = 0
+    for x in v.tolist():
+        g = math.gcd(g, x)
+    if g > 1:
+        v = v // g
+    nz = np.flatnonzero(v)
+    if nz.size and v[nz[0]] < 0:
+        v = -v
+    return _row_fit(v)
+
+
+class RowwiseSpan:
+    """Reduced echelon basis kept as a list of primitive rows with positive
+    pivots, changed one inserted vector at a time (the normal form of
+    ``terw.linalg.RowSpace``, reached by a different route)."""
+
+    def __init__(self, width: int):
+        self.width = width
+        self.rows: list[np.ndarray] = []
+        self.pivots: list[int] = []
+
+    def reduce(self, vec) -> np.ndarray:
+        v = np.asarray(vec)
+        v = v.copy() if v.dtype == object else v.astype(np.int64)
+        for piv, row in zip(self.pivots, self.rows):
+            c = int(v[piv])
+            if c:
+                v = _row_fit(_row_combine(int(row[piv]), v, c, row))
+        return v
+
+    def insert(self, vec) -> np.ndarray | None:
+        v = self.reduce(vec)
+        if not np.any(v):
+            return None
+        v = _row_primitive(v)
+        piv = int(np.flatnonzero(v)[0])
+        pv = int(v[piv])
+        for i, row in enumerate(self.rows):
+            c = int(row[piv])
+            if c:
+                self.rows[i] = _row_primitive(_row_combine(pv, row, c, v))
+        pos = bisect_left(self.pivots, piv)
+        self.pivots.insert(pos, piv)
+        self.rows.insert(pos, v)
+        return v
+
+
+def rowwise_closure(generators, side: int | None = None) -> RowwiseSpan:
+    """Unital algebra closure, one product at a time from a FIFO worklist:
+    the identity and the generators, then each generator times each stored
+    row, in order; products in Python integers."""
+    gens = [as_int_matrix(g, side) for g in generators]
+    side = side if side is not None else gens[0].shape[0]
+    basis = RowwiseSpan(side * side)
+    queue: deque[np.ndarray] = deque()
+    for seed in [np.eye(side, dtype=np.int64)] + gens:
+        row = basis.insert(seed.reshape(-1))
+        if row is not None:
+            queue.append(row.reshape(side, side).copy())
+    while queue:
+        m = queue.popleft()
+        for g in gens:
+            row = basis.insert(_row_fit(np.dot(_row_object(g), _row_object(m))).reshape(-1))
+            if row is not None:
+                queue.append(row.reshape(side, side).copy())
+    return basis
 
 
 def brute_srg_params(graph: Graph):

@@ -28,9 +28,9 @@ from terw.algebras import (
     principal_row_dim,
 )
 from terw.errors import CertificationError
-from terw.linalg import SpanBasis
+from terw.linalg import SpanBasis, algebra_closure, exact_matmul
 
-from oracles import is_multiplicatively_closed
+from oracles import is_multiplicatively_closed, rowwise_closure
 
 
 def _mat(rows):
@@ -211,6 +211,57 @@ class TestCertificatesAgainstElimination:
             assert is_multiplicatively_closed(algs[4].basis), (g.n, base)
             for small, big in zip(algs, algs[1:]):
                 assert all(big.contains(m) for m in small.basis.matrices()), (g.n, base, small.level)
+
+
+def _assert_same_basis(basis, oracle, label):
+    assert basis.pivots == oracle.pivots, label
+    assert basis.rows.tolist() == [r.tolist() for r in oracle.rows], label
+
+
+class TestClosureAgainstRowwiseOracle:
+    """Layered block closure gives the row-at-a-time closure's basis, entry
+    for entry, on levels 0-3."""
+
+    @staticmethod
+    def _check(graph, base, stab=None):
+        for lvl in range(4):
+            alg = build_T(lvl, graph, base, stab=stab)
+            a = graph.adjacency_matrix()
+            if lvl == 0:
+                gens = [a]
+            elif lvl == 1:
+                gens = [a, idempotent_for_set(graph.n, [base])]
+            else:
+                gens = [a] + [idempotent_for_set(graph.n, c) for c in alg.cells]
+            _assert_same_basis(alg.basis, rowwise_closure(gens), (graph.n, base, lvl))
+
+    def test_small_graphs(self, corpus):
+        for g, base in _certificate_cases(corpus):
+            self._check(g, base)
+
+    @pytest.mark.parametrize("q", [13, 29])
+    def test_paley(self, q):
+        g, pc = gen_paley(q)
+        self._check(g, 0, stab=paley_stabilizer_generators(pc))
+
+    def test_object_dtype_batch(self, monkeypatch):
+        # entries past 2**30 keep the first layers' rows large, so their
+        # products need Python integers; the closure is all of M4, whose
+        # normal form (the matrix units) fits in int64 again
+        big = 2**30 + np.random.default_rng(5).integers(0, 100, size=(4, 4))
+        gens = [big, idempotent_for_set(4, [0])]
+        dtypes = []
+
+        def spy(a, b):
+            out = exact_matmul(a, b)
+            dtypes.append(out.dtype)
+            return out
+
+        monkeypatch.setattr(terw.linalg, "exact_matmul", spy)
+        basis = algebra_closure(gens)
+        assert object in dtypes
+        assert basis.dim == 16 and basis.rows.dtype == np.int64
+        _assert_same_basis(basis, rowwise_closure(gens), "object batch")
 
 
 # partitions of the pairs of 3 points that are not the orbitals of the group

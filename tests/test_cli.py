@@ -103,6 +103,20 @@ def test_budget_error_is_exit_3(capsys, tmp_path):
     assert code == 3
 
 
+def test_compute_budget_record_is_exit_3(capsys, monkeypatch):
+    from terw import algebras
+    from terw.errors import BudgetExceededError
+
+    def no_budget(*args, **kwargs):
+        raise BudgetExceededError("stabilizer search over budget")
+
+    monkeypatch.setattr(algebras, "stabilizer", no_budget)
+    code, out, _ = run(capsys, "compute", "--graph", "Dh{", "--base", "4", "--format", "jsonl")
+    assert code == 3
+    (row,) = [json.loads(line) for line in out.splitlines()]
+    assert row["status"] == "stabilizer-budget-exceeded"
+
+
 def test_budget_status_recorded(tmp_path):
     from terw.pipeline import scan_corpus
 

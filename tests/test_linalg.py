@@ -1,10 +1,14 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+import sympy
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from terw.graphs import Graph, gen_delta
 from terw.linalg import (
+    RowSpace,
     SpanBasis,
     algebra_closure,
     center_basis,
@@ -187,3 +191,80 @@ def test_center_rejects_non_closed_span():
 def test_row_space_rank():
     rows = [np.array([1, 2, 3]), np.array([2, 4, 6]), np.array([0, 1, 1])]
     assert row_space_rank(rows) == 2
+
+
+# ---------------------------------------------------------------------------
+# the block kernel against sympy's rref
+# ---------------------------------------------------------------------------
+
+_NEAR_LIMIT = st.integers(2**62 - 16, 2**62 + 16)
+_ENTRY = st.one_of(
+    st.integers(-3, 3),
+    _NEAR_LIMIT,
+    _NEAR_LIMIT.map(lambda x: -x),
+    st.integers(2**63, 2**70),
+)
+
+
+@st.composite
+def _blocks(draw):
+    """An integer block with dependent rows, entries near and past int64,
+    its rows in a random order and split into random batches."""
+    width = draw(st.integers(1, 6))
+    # all-small rows meet large basis rows: the bound must see the C @ R term
+    row = st.one_of(
+        st.lists(st.integers(-3, 3), min_size=width, max_size=width),
+        st.lists(_ENTRY, min_size=width, max_size=width),
+    )
+    gens = draw(st.lists(row, min_size=1, max_size=4))
+    rows = list(gens)
+    for _ in range(draw(st.integers(0, 3))):
+        i, j = draw(st.integers(0, len(gens) - 1)), draw(st.integers(0, len(gens) - 1))
+        a, b = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+        rows.append([a * x + b * y for x, y in zip(gens[i], gens[j])])
+    order = draw(st.permutations(range(len(rows))))
+    cuts = sorted(draw(st.sets(st.integers(1, max(len(rows) - 1, 1)), max_size=len(rows) - 1)))
+    extra = draw(row)
+    return width, rows, order, cuts, extra
+
+
+def _as_block(rows):
+    fits = all(-(2**63) <= x < 2**63 for r in rows for x in r)
+    return np.array(rows, dtype=np.int64 if fits else object).reshape(len(rows), -1)
+
+
+def _sympy_normal_form(rows):
+    """Pivots and rows of sympy's rref, each row scaled to a primitive
+    integer row with a positive pivot."""
+    rref, pivots = sympy.Matrix(rows).rref()
+    out = []
+    for i in range(len(pivots)):
+        r = list(rref.row(i))
+        den = math.lcm(*(sympy.fraction(x)[1] for x in r))
+        ints = [int(x * den) for x in r]
+        g = math.gcd(*ints)
+        out.append([x // g for x in ints])
+    return list(pivots), out
+
+
+@settings(max_examples=300, deadline=None)
+@given(_blocks())
+# a small row against an int64 basis row near 2**62: C @ R overflows int64
+@example((3, [[1, 2**62 - 5, 2**62 - 7], [3, 0, 1]], [0, 1], [1], [0, 0, 1]))
+def test_block_kernel_matches_sympy_rref(case):
+    width, rows, order, cuts, extra = case
+    want_piv, want_rows = _sympy_normal_form(rows)
+    sp = RowSpace(width)
+    shuffled = [rows[i] for i in order]
+    for lo, hi in zip([0] + cuts, cuts + [len(rows)]):
+        sp.insert_block(_as_block(shuffled[lo:hi]))
+    assert sp.pivots == want_piv
+    assert sp.rows.tolist() == want_rows
+    assert sp.dim == len(want_piv)
+    if all(abs(x) < 2**62 for r in want_rows for x in r):
+        assert sp.rows.dtype == np.int64
+    assert all(sp.contains(_as_block([r])[0]) for r in rows)
+    in_span = sympy.Matrix(rows + [extra]).rank() == len(want_piv)
+    assert sp.contains(_as_block([extra])[0]) == in_span
+    residual = sp.reduce_block(_as_block([extra]))
+    assert not np.any(residual[:, sp.pivots])
