@@ -13,14 +13,12 @@ One kernel does all elimination, a block of rows at a time:
     step, ``L*P - (P[:, piv] * (L/p)) @ R`` with p the pivot values and L
     their lcm (1 in the common case).  A float64 bound on the result picks
     int64 arithmetic, else the same expression runs on object dtype.
-  * ``absorb_block(S)`` adds reduced rows: it eliminates among them only,
-    with one vectorised update of the remaining rows and of the basis per
-    new pivot, the same step against the one-row basis of that pivot.
+  * ``insert_block(P)`` reduces P and then eliminates among the reduced rows
+    only, with one vectorised update of the remaining rows and of the basis
+    per new pivot, the same step against the one-row basis of that pivot.
 
 ``reduce``, ``contains`` and ``insert`` are their one-row case, and
-``algebra_closure`` feeds them one layer of products at a time.  Integer
-products whose partial sums stay below 2**53 run as float64 (BLAS) products,
-which are exact there; otherwise floats only bound magnitudes.
+``algebra_closure`` feeds them one layer of products at a time.
 """
 
 from __future__ import annotations
@@ -33,8 +31,6 @@ import numpy as np
 _INT64_LIMIT = 2**62
 # float64 bounds round; this leaves a factor of four below int64 overflow
 _BOUND_LIMIT = 2**61
-# below this every partial sum of an integer product is a float64 integer
-_FLOAT_EXACT = 2**53
 
 
 def _maxabs(a: np.ndarray) -> int:
@@ -63,23 +59,11 @@ def _primitive_rows(rows: np.ndarray) -> np.ndarray:
     return _fit(rows // g[:, None])
 
 
-def _int_matmul(a: np.ndarray, b: np.ndarray, bound: float) -> np.ndarray:
-    """a @ b for int64 operands whose partial sums are at most bound.
-
-    Under 2**53 the float64 (BLAS) product is exact: every term and partial
-    sum is an integer that float64 represents.
-    """
-    if bound < _FLOAT_EXACT:
-        return np.matmul(a.astype(np.float64), b.astype(np.float64)).astype(np.int64)
-    return np.matmul(a, b)
-
-
 def exact_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Exact integer (batched) matrix product with int64 and float64 fast paths."""
+    """Exact integer (batched) matrix product, int64 when a bound allows."""
     if a.dtype != object and b.dtype != object:
-        bound = a.shape[-1] * _maxabs(a) * _maxabs(b)
-        if bound < _INT64_LIMIT:
-            return _int_matmul(a, b, bound)
+        if a.shape[-1] * _maxabs(a) * _maxabs(b) < _INT64_LIMIT:
+            return np.matmul(a, b)
     return np.matmul(_as_object(a), _as_object(b))
 
 
@@ -93,7 +77,7 @@ def _eliminate(p_blk: np.ndarray, lcm: int, c: np.ndarray, f: np.ndarray, r: np.
         weight = f * np.abs(r).max(axis=1).astype(np.float64)
         bound = lcm * _maxabs(p_blk) + float(np.max(np.abs(c).astype(np.float64) @ weight))
         if bound < _BOUND_LIMIT:
-            return lcm * p_blk - _int_matmul(c * f, r, bound)
+            return lcm * p_blk - (c * f) @ r
     return _fit(_as_object(p_blk) * lcm - (_as_object(c) * _as_object(f)) @ _as_object(r))
 
 
@@ -117,23 +101,15 @@ def as_int_matrix(mat, side: int | None = None) -> np.ndarray:
 class RowSpace:
     """Reduced echelon basis of a rational row space of fixed width."""
 
-    __slots__ = ("width", "_buf", "_piv")
+    __slots__ = ("width", "rows", "_piv")
 
     def __init__(self, width: int):
         if width < 1:
             raise ValueError("width must be positive")
         self.width = width
-        self._buf = np.zeros((0, width), dtype=np.int64)
+        # the dim-by-width basis rows in pivot order, and their pivot columns
+        self.rows = np.zeros((0, width), dtype=np.int64)
         self._piv = np.zeros(0, dtype=np.intp)
-
-    @property
-    def rows(self) -> np.ndarray:
-        """The dim-by-width basis rows in pivot order.
-
-        Rows in this view are never written later, so it stays valid; rows
-        appended later go to spare capacity past its end.
-        """
-        return self._buf[: len(self._piv)]
 
     @property
     def dim(self) -> int:
@@ -170,27 +146,21 @@ class RowSpace:
         f = np.array([lcm // x for x in pv], dtype=np.int64 if lcm < _BOUND_LIMIT else object)
         return _eliminate(p_blk, lcm, c, f, r)
 
-    def absorb_block(self, block) -> np.ndarray:
-        """Add rows already reduced by ``reduce_block``; returns the new basis rows.
+    def insert_block(self, block) -> np.ndarray:
+        """Add every row of a block to the span; returns the new basis rows.
 
-        Added rows become pivots one at a time, smallest leading entry first,
-        and each new pivot column is cleared from every other row in one
-        update.  When the added rows' support lies past the last pivot and no
-        basis row meets it, the basis rows need no update and the new rows go
-        into spare capacity past the end: a basis built one row at a time in
-        pivot order is not copied once per row.
+        The block is reduced against the basis; its nonzero residuals become
+        pivots one at a time, smallest leading entry first, and each new
+        pivot column is cleared from every other row in one update.
         """
-        s = self._block(block)
+        s = self.reduce_block(block)
         s = s[np.any(s != 0, axis=1)]
         if len(s) == 0:
             return s
-        s = _primitive_rows(s)
         k0 = self.dim
-        support = np.flatnonzero(np.any(s != 0, axis=0))
-        append = k0 == 0 or (support[0] > self._piv[-1] and not np.any(self.rows[:, support]))
-        w = s if append else np.concatenate([self.rows, s])
-        piv = ([] if append else self._piv.tolist()) + [-1] * len(s)
-        todo = list(range(len(w) - len(s), len(w)))
+        w = np.concatenate([self.rows, _primitive_rows(s)])
+        piv = self._piv.tolist() + [-1] * len(s)
+        todo = list(range(k0, len(w)))
         one = np.ones(1, dtype=np.int64)
         while todo:
             sub = w[todo]
@@ -214,23 +184,9 @@ class RowSpace:
             if gone:
                 todo = [t for t in todo if t not in gone]
         keep = sorted((t for t in range(len(w)) if piv[t] >= 0), key=piv.__getitem__)
-        w = _fit(w if keep == list(range(len(w))) else w[keep])
-        piv = np.array([piv[t] for t in keep], dtype=np.intp)
-        if not append:
-            self._buf, self._piv = w, piv
-            return w[np.array(keep) >= k0]
-        dtype = np.result_type(self._buf, w)
-        if len(self._buf) < k0 + len(w) or self._buf.dtype != dtype:
-            buf = np.empty((min(2 * (k0 + len(w)), self.width), self.width), dtype=dtype)
-            buf[:k0] = self.rows
-            self._buf = buf
-        self._buf[k0 : k0 + len(w)] = w
-        self._piv = np.concatenate([self._piv, piv])
-        return w
-
-    def insert_block(self, block) -> np.ndarray:
-        """Add every row of a block to the span; returns the new basis rows."""
-        return self.absorb_block(self.reduce_block(block))
+        self.rows = _fit(w[keep])
+        self._piv = np.array([piv[t] for t in keep], dtype=np.intp)
+        return self.rows[np.array(keep) >= k0]
 
     def reduce(self, vec: np.ndarray) -> np.ndarray:
         """Residual of one vector against the basis (zero iff it is in the span)."""
