@@ -24,8 +24,6 @@ from .graphs import (
     gen_delta,
     bfs_distance_partition,
     is_strongly_regular,
-    is_distance_regular,
-    spectrum_summary,
 )
 from .groups import (
     Perm,

@@ -49,6 +49,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_levels(spec: str) -> list[int]:
+    """--levels argument, e.g. '0-4' or '2,3'; a bad spec is a usage error."""
     out: set[int] = set()
     for part in spec.split(","):
         part = part.strip()
@@ -58,7 +59,7 @@ def _parse_levels(spec: str) -> list[int]:
         elif part:
             out.add(int(part))
     if not out or any(l not in range(5) for l in out):
-        raise ValueError(f"bad level spec {spec!r}; expected levels within 0..4")
+        raise argparse.ArgumentTypeError(f"bad level spec {spec!r}; expected levels within 0..4")
     return sorted(out)
 
 
@@ -77,7 +78,7 @@ def build_parser() -> _Parser:
     c = sub.add_parser("compute", help="classify a graph")
     c.add_argument("--graph", required=True, help="graph6 value or @file")
     c.add_argument("--base", default="all", help="base vertex (0-based) or 'all' for one per orbit")
-    c.add_argument("--levels", default="0-4", help="levels to build, e.g. 0-4 or 2,3")
+    c.add_argument("--levels", type=_parse_levels, default="0-4", help="levels to build, e.g. 0-4 or 2,3")
     c.add_argument("--decompose", action="store_true", help="also report Wedderburn types")
     c.add_argument("--format", choices=("jsonl", "csv", "table"), default="table")
 
@@ -109,7 +110,7 @@ def _cmd_compute(args) -> int:
         records.extend(
             classify_graph(
                 graph,
-                levels=_parse_levels(args.levels),
+                levels=args.levels,
                 bases=bases,
                 decompose=args.decompose,
                 graph6=g6,

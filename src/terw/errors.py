@@ -9,10 +9,6 @@ class BudgetExceededError(RuntimeError):
     """A backtracking search ran past its node or time budget."""
 
 
-class ToleranceError(RuntimeError):
-    """A floating-point step disagreed with an exact cross-check."""
-
-
 class DecompositionError(RuntimeError):
     """Wedderburn decomposition could not be certified."""
 

@@ -11,19 +11,14 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
-from .errors import CertificationError, Graph6Error, ToleranceError
+from .errors import CertificationError, Graph6Error
 
 GRAPH6_HEADER = b">>graph6<<"
 GRAPH6_MAX_N = 258048
-
-# absolute gap below which two numerically computed adjacency eigenvalues
-# are treated as equal; misclustering is caught by the exact distinct count
-EIG_CLUSTER_TOL = 1e-7
 
 
 class Graph:
@@ -307,12 +302,6 @@ class _GF:
             code //= self.p
         return tuple(cs)
 
-    def code(self, x: tuple[int, ...]) -> int:
-        v = 0
-        for c in reversed(x):
-            v = v * self.p + c
-        return v
-
     def _find_modulus(self) -> tuple[int, ...]:
         # monic x^a + f(x), scanned in encoding order of f
         if self.a == 1:
@@ -368,9 +357,6 @@ class _GF:
 
     def one(self) -> tuple[int, ...]:
         return (1,) + (0,) * (self.a - 1)
-
-    def elements(self) -> list[tuple[int, ...]]:
-        return [self._poly_from_code(c, self.a) for c in range(self.q)]
 
     def add(self, x, y):
         return tuple((a + b) % self.p for a, b in zip(x, y))
@@ -439,6 +425,16 @@ class PaleyConstruction:
             raise CertificationError("field modulus differs from the construction's")
         return f
 
+    def graph(self) -> Graph:
+        """The Paley graph: vertices i < j adjacent iff order[i] - order[j] is a square."""
+        f = self.gf()
+        return Graph(self.q, [
+            (i, j)
+            for i in range(self.q)
+            for j in range(i + 1, self.q)
+            if f.sub(self.order[i], self.order[j]) in self.squares
+        ])
+
 
 def gen_paley(p: int, a: int = 1) -> tuple[Graph, PaleyConstruction]:
     """Paley graph on GF(p^a), p^a = 1 (mod 4): x ~ y iff x-y is a nonzero square.
@@ -463,17 +459,11 @@ def gen_paley(p: int, a: int = 1) -> tuple[Graph, PaleyConstruction]:
     order = [f.zero()] + [powers[2 * i] for i in range(k)] + [powers[2 * i + 1] for i in range(k)]
     squares = frozenset(powers[2 * i] for i in range(k))
     index = {x: i for i, x in enumerate(order)}
-    edges = []
-    for i in range(q):
-        for j in range(i + 1, q):
-            if f.sub(order[i], order[j]) in squares:
-                edges.append((i, j))
-    graph = Graph(q, edges)
     pc = PaleyConstruction(
         p=p, a=a, modulus_poly=f.modulus, xi=xi,
         squares=squares, order=tuple(order), index=index,
     )
-    return graph, pc
+    return pc.graph(), pc
 
 
 # ---------------------------------------------------------------------------
@@ -510,23 +500,6 @@ def bfs_distance_partition(graph: Graph, base: int) -> DistancePartition:
     d = max(dist)
     cells = [tuple(v for v in range(graph.n) if dist[v] == k) for k in range(d + 1)]
     return DistancePartition(base=base, cells=tuple(cells))
-
-
-def distance_matrix(graph: Graph) -> list[list[int]]:
-    """All-pairs distances by BFS from every vertex; -1 marks unreachable."""
-    out = []
-    for s in range(graph.n):
-        dist = [-1] * graph.n
-        dist[s] = 0
-        q = deque([s])
-        while q:
-            u = q.popleft()
-            for v in graph.neighbors(u):
-                if dist[v] < 0:
-                    dist[v] = dist[u] + 1
-                    q.append(v)
-        out.append(dist)
-    return out
 
 
 @dataclass(frozen=True)
@@ -576,137 +549,3 @@ def is_strongly_regular(graph: Graph) -> Optional[SrgParams]:
     if not params.feasible():
         raise CertificationError(f"measured parameters {params} violate the feasibility identity")
     return params
-
-
-@dataclass(frozen=True)
-class IntersectionNumbers:
-    """Intersection numbers p[i][j][k] of a distance-regular graph."""
-
-    diameter: int
-    table: tuple[tuple[tuple[int, ...], ...], ...]
-
-    def p(self, i: int, j: int, k: int) -> int:
-        return self.table[i][j][k]
-
-
-def is_distance_regular(graph: Graph) -> Optional[IntersectionNumbers]:
-    """Full intersection array if the graph is distance-regular, else None."""
-    if not graph.is_connected():
-        return None
-    dm = distance_matrix(graph)
-    n = graph.n
-    diam = max(max(row) for row in dm)
-    counts: list[list[list[Optional[int]]]] = [
-        [[None] * (diam + 1) for _ in range(diam + 1)] for _ in range(diam + 1)
-    ]
-    for x in range(n):
-        for y in range(n):
-            k = dm[x][y]
-            profile = [[0] * (diam + 1) for _ in range(diam + 1)]
-            for z in range(n):
-                profile[dm[x][z]][dm[z][y]] += 1
-            for i in range(diam + 1):
-                for j in range(diam + 1):
-                    prev = counts[i][j][k]
-                    if prev is None:
-                        counts[i][j][k] = profile[i][j]
-                    elif prev != profile[i][j]:
-                        return None
-    table = tuple(
-        tuple(tuple(counts[i][j][k] or 0 for k in range(diam + 1)) for j in range(diam + 1))
-        for i in range(diam + 1)
-    )
-    return IntersectionNumbers(diameter=diam, table=table)
-
-
-# ---------------------------------------------------------------------------
-# exact characteristic polynomial and the spectrum summary
-# ---------------------------------------------------------------------------
-
-def charpoly_exact(mat: np.ndarray) -> list[int]:
-    """Integer coefficients of det(xI - A), leading first (Faddeev-LeVerrier).
-
-    All intermediate divisions are exact over the integers; arithmetic runs
-    in arbitrary precision.
-    """
-    a = np.asarray(mat, dtype=object)
-    n = a.shape[0]
-    coeffs = [1]
-    m = np.eye(n, dtype=object)
-    for k in range(1, n + 1):
-        am = np.dot(a, m)
-        tr = int(np.trace(am))
-        q, r = divmod(-tr, k)
-        if r:
-            raise CertificationError("Faddeev-LeVerrier division must be exact")
-        coeffs.append(q)
-        m = am + q * np.eye(n, dtype=object)
-    return coeffs
-
-
-def _poly_deriv(p: list[Fraction]) -> list[Fraction]:
-    n = len(p) - 1
-    return [c * (n - i) for i, c in enumerate(p[:-1])]
-
-
-def _poly_mod(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    a = list(a)
-    db = len(b) - 1
-    while len(a) - 1 >= db and any(a):
-        if a[0] == 0:
-            a.pop(0)
-            continue
-        f = a[0] / b[0]
-        for i in range(db + 1):
-            a[i] -= f * b[i]
-        a.pop(0)
-    while a and a[0] == 0:
-        a.pop(0)
-    return a
-
-
-def _poly_gcd_degree(p: list[int], q: list[int]) -> int:
-    a = [Fraction(c) for c in p]
-    b = [Fraction(c) for c in q]
-    while b:
-        a, b = b, _poly_mod(a, b)
-    return len(a) - 1
-
-
-def distinct_eigenvalue_count(graph: Graph) -> int:
-    """Number of distinct adjacency eigenvalues, exactly (squarefree degree)."""
-    p = charpoly_exact(graph.adjacency_matrix())
-    return len(p) - 1 - _poly_gcd_degree(p, [int(c) for c in _poly_deriv([Fraction(c) for c in p])])
-
-
-class SpectrumSummary(NamedTuple):
-    distinct_count: int
-    multiplicities: tuple[int, ...]
-
-
-def spectrum_summary(graph: Graph) -> SpectrumSummary:
-    """Distinct eigenvalue count (exact) and multiplicities (checked numerics).
-
-    The count comes from the squarefree degree of the exact characteristic
-    polynomial; multiplicities come from clustering numerically computed
-    eigenvalues and must reproduce exactly that many clusters summing to n,
-    otherwise a ToleranceError is raised.
-    """
-    t = distinct_eigenvalue_count(graph)
-    evals = np.linalg.eigvalsh(graph.adjacency_matrix().astype(float))
-    mults = []
-    count = 1
-    for i in range(1, len(evals)):
-        if evals[i] - evals[i - 1] > EIG_CLUSTER_TOL:
-            mults.append(count)
-            count = 1
-        else:
-            count += 1
-    mults.append(count)
-    if len(mults) != t:
-        raise ToleranceError(
-            f"eigenvalue clustering found {len(mults)} groups but the exact count is {t}"
-        )
-    if sum(mults) != graph.n:
-        raise ToleranceError("cluster multiplicities do not sum to n")
-    return SpectrumSummary(distinct_count=t, multiplicities=tuple(mults))

@@ -59,24 +59,6 @@ class Perm:
     def identity(cls, n: int) -> "Perm":
         return cls(tuple(range(n)))
 
-    def cycles(self) -> list[tuple[int, ...]]:
-        """Nontrivial cycles, each rotated to start at its smallest point."""
-        seen = [False] * self.n
-        out = []
-        for start in range(self.n):
-            if seen[start] or self.images[start] == start:
-                seen[start] = True
-                continue
-            cyc = [start]
-            seen[start] = True
-            v = self.images[start]
-            while v != start:
-                cyc.append(v)
-                seen[v] = True
-                v = self.images[v]
-            out.append(tuple(cyc))
-        return out
-
 
 def is_automorphism(graph: Graph, perm: Perm) -> bool:
     """Exhaustive edge/non-edge preservation check."""
@@ -111,22 +93,23 @@ class PermGroup:
     def is_trivial(self) -> bool:
         return all(g.is_identity() for g in self.gens)
 
-    def point_orbit(self, v: int, gens: Optional[Sequence[Perm]] = None) -> set[int]:
-        gens = self.gens if gens is None else gens
-        orbit = {v}
-        queue = deque([v])
-        while queue:
-            u = queue.popleft()
-            for g in gens:
-                w = g(u)
-                if w not in orbit:
-                    orbit.add(w)
-                    queue.append(w)
-        return orbit
-
     def order(self) -> int:
         """Group order by recursive orbit-stabilizer with coset representatives."""
         return _order_recursive([g for g in self.gens if not g.is_identity()], self.n)
+
+
+def point_orbit(points: Iterable[int], images: Sequence[Sequence[int]]) -> set[int]:
+    """Orbit of a set of points under the maps given by their image tables."""
+    orbit = set(points)
+    queue = deque(orbit)
+    while queue:
+        u = queue.popleft()
+        for img in images:
+            w = img[u]
+            if w not in orbit:
+                orbit.add(w)
+                queue.append(w)
+    return orbit
 
 
 def _order_recursive(gens: list[Perm], n: int) -> int:
@@ -158,12 +141,6 @@ class OrbitPartition:
 
     cells: tuple[tuple[int, ...], ...]
 
-    def cell_of(self, v: int) -> int:
-        for i, c in enumerate(self.cells):
-            if v in c:
-                return i
-        raise ValueError(f"vertex {v} not in partition")
-
 
 @dataclass(frozen=True)
 class OrbitalPartition:
@@ -184,12 +161,13 @@ def vertex_orbits(group: PermGroup, base: Optional[int] = None) -> OrbitPartitio
     for stabilizer orbit idempotents).
     """
     n = group.n
+    images = [g.images for g in group.gens]
     seen = [False] * n
     cells = []
     for v in range(n):
         if seen[v]:
             continue
-        orbit = sorted(group.point_orbit(v))
+        orbit = sorted(point_orbit((v,), images))
         for u in orbit:
             seen[u] = True
         cells.append(tuple(orbit))
@@ -199,29 +177,25 @@ def vertex_orbits(group: PermGroup, base: Optional[int] = None) -> OrbitPartitio
 
 
 def orbitals(group: PermGroup) -> OrbitalPartition:
-    """Orbits of ordered vertex pairs under the diagonal generator action."""
+    """Orbits of ordered vertex pairs under the diagonal generator action.
+
+    A pair (x, y) is handled as its code x*n + y.
+    """
     n = group.n
-    gen_images = [g.images for g in group.gens]
-    cell_id = [-1] * (n * n)
-    cells: list[list[tuple[int, int]]] = []
+    pair_images = [
+        [img[x] * n + img[y] for x in range(n) for y in range(n)]
+        for img in (g.images for g in group.gens)
+    ]
+    seen = [False] * (n * n)
+    cells = []
     for start in range(n * n):
-        if cell_id[start] >= 0:
+        if seen[start]:
             continue
-        cid = len(cells)
-        members = [start]
-        cell_id[start] = cid
-        queue = deque([start])
-        while queue:
-            code = queue.popleft()
-            x, y = divmod(code, n)
-            for img in gen_images:
-                code2 = img[x] * n + img[y]
-                if cell_id[code2] < 0:
-                    cell_id[code2] = cid
-                    members.append(code2)
-                    queue.append(code2)
-        cells.append([divmod(c, n) for c in sorted(members)])
-    return OrbitalPartition(n=n, cells=tuple(tuple(c) for c in cells))
+        members = sorted(point_orbit((start,), pair_images))
+        for c in members:
+            seen[c] = True
+        cells.append(tuple(divmod(c, n) for c in members))
+    return OrbitalPartition(n=n, cells=tuple(cells))
 
 
 def orbital_matrices(partition: OrbitalPartition) -> list[np.ndarray]:
@@ -297,19 +271,6 @@ class _SearchState:
             raise BudgetExceededError("search exceeded its time budget")
 
 
-def _orbit_under(points: Iterable[int], gens: list[Perm]) -> set[int]:
-    reached = set(points)
-    queue = deque(reached)
-    while queue:
-        u = queue.popleft()
-        for g in gens:
-            w = g(u)
-            if w not in reached:
-                reached.add(w)
-                queue.append(w)
-    return reached
-
-
 def _search(state: _SearchState, left: list[tuple[int, ...]], right: list[tuple[int, ...]], on_leftmost: bool) -> bool:
     state.tick()
     graph = state.graph
@@ -343,8 +304,8 @@ def _search(state: _SearchState, left: list[tuple[int, ...]], right: list[tuple[
         candidates.insert(0, v)
     for u in candidates:
         if on_leftmost and tried:
-            fixing = [g for g in state.gens if all(g(b) == b for b in state.base_path)]
-            if u in _orbit_under(tried, fixing):
+            fixing = [g.images for g in state.gens if all(g(b) == b for b in state.base_path)]
+            if u in point_orbit(tried, fixing):
                 continue
         right2 = _refine(graph._bits, _individualize(right, target, u))
         if [len(c) for c in right2] != shape:
@@ -433,32 +394,7 @@ def paley_stabilizer_generators(pc: PaleyConstruction) -> PermGroup:
     sigma = _perm_from_field_map(pc, lambda x: f.mul(x, xi2))
     frob = _perm_from_field_map(pc, lambda x: f.pow(x, pc.p))
     gens = [g for g in (sigma, frob) if not g.is_identity()]
-    group = PermGroup(n=pc.q, gens=tuple(gens), origin="analytic-family")
-    _verify_paley_group(pc, group)
-    return group
-
-
-def paley_automorphism_group(pc: PaleyConstruction) -> PermGroup:
-    """Full automorphism group: translations plus the zero stabilizer."""
-    f = pc.gf()
-    translations = []
-    for i in range(pc.a):
-        alpha = tuple(1 if j == i else 0 for j in range(pc.a))
-        translations.append(_perm_from_field_map(pc, lambda x, a=alpha: f.add(x, a)))
-    stab = paley_stabilizer_generators(pc)
-    group = PermGroup(n=pc.q, gens=tuple(translations) + stab.gens, origin="analytic-family")
-    _verify_paley_group(pc, group)
-    return group
-
-
-def _verify_paley_group(pc: PaleyConstruction, group: PermGroup) -> None:
-    f = pc.gf()
-    edges = [
-        (i, j)
-        for i in range(pc.q)
-        for j in range(i + 1, pc.q)
-        if f.sub(pc.order[i], pc.order[j]) in pc.squares
-    ]
-    graph = Graph(pc.q, edges)
-    if not all(is_automorphism(graph, g) for g in group.gens):
+    graph = pc.graph()
+    if not all(is_automorphism(graph, g) for g in gens):
         raise CertificationError("analytic generator is not an automorphism")
+    return PermGroup(n=pc.q, gens=tuple(gens), origin="analytic-family")

@@ -20,9 +20,9 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .algebras import build_T, chain_with_algebras
-from .errors import BudgetExceededError, CertificationError, DecompositionError
+from .errors import BudgetExceededError, CertificationError, DecompositionError, Graph6Error
 from .graphs import Graph, iter_graph6_lines, parse_graph6, write_graph6
-from .groups import PermGroup, automorphism_group, vertex_orbits
+from .groups import automorphism_group, vertex_orbits
 from .structure import WedderburnType, wedderburn_decompose
 
 STATUS_OK = "ok"
@@ -75,14 +75,11 @@ def classify_graph(
     node_budget: int = DEFAULT_NODE_BUDGET,
     time_budget: Optional[float] = DEFAULT_TIME_BUDGET,
     graph6: Optional[str] = None,
-    aut: Optional[PermGroup] = None,
-    stab_for_base=None,
 ) -> list[ScanRecord]:
     """Classification records, one per base-vertex orbit (or per given base).
 
     bases=None dedups base vertices by automorphism orbit; an explicit list
-    skips the dedup.  ``aut``/``stab_for_base`` allow analytic groups (e.g.
-    for Paley graphs) to replace the backtracking search.
+    skips the dedup.
     """
     if not graph.is_connected():
         raise ValueError("classification needs a connected graph")
@@ -96,14 +93,13 @@ def classify_graph(
         return None if deadline is None else max(deadline - time.monotonic(), 0.01)
 
     if bases is None:
-        if aut is None:
-            try:
-                aut = automorphism_group(
-                    graph, search_bound=graph.n, node_budget=node_budget, time_budget=remaining()
-                )
-            except BudgetExceededError:
-                nones = (None,) * 5
-                return [ScanRecord(g6, graph.n, 0, 0, nones, (None,) * 4, None, STATUS_BUDGET)]
+        try:
+            aut = automorphism_group(
+                graph, search_bound=graph.n, node_budget=node_budget, time_budget=remaining()
+            )
+        except BudgetExceededError:
+            nones = (None,) * 5
+            return [ScanRecord(g6, graph.n, 0, 0, nones, (None,) * 4, None, STATUS_BUDGET)]
         orbit_cells = vertex_orbits(aut).cells
         targets = [(cell[0], len(cell)) for cell in orbit_cells]
     else:
@@ -114,16 +110,14 @@ def classify_graph(
     for base, orbit_size in targets:
         records.append(
             _classify_base(
-                graph, base, orbit_size, g6, levels, decompose,
-                node_budget, remaining(), stab_for_base,
+                graph, base, orbit_size, g6, levels, decompose, node_budget, remaining()
             )
         )
     return records
 
 
-def _classify_base(graph, base, orbit_size, g6, levels, decompose, node_budget, time_budget, stab_for_base):
+def _classify_base(graph, base, orbit_size, g6, levels, decompose, node_budget, time_budget):
     n = graph.n
-    stab = stab_for_base(base) if stab_for_base is not None else None
     dims: list[Optional[int]] = [None] * 5
     types: list[Optional[WedderburnType]] = [None] * 5
     status = STATUS_OK
@@ -131,7 +125,7 @@ def _classify_base(graph, base, orbit_size, g6, levels, decompose, node_budget, 
     if levels == [0, 1, 2, 3, 4]:
         try:
             report, built = chain_with_algebras(
-                graph, base, stab=stab, node_budget=node_budget, time_budget=time_budget
+                graph, base, node_budget=node_budget, time_budget=time_budget
             )
             dims = list(report.dims)
             algs = dict(enumerate(built))
@@ -144,10 +138,7 @@ def _classify_base(graph, base, orbit_size, g6, levels, decompose, node_budget, 
     else:
         for lvl in levels:
             try:
-                alg = build_T(
-                    lvl, graph, base, stab=stab,
-                    node_budget=node_budget, time_budget=time_budget,
-                )
+                alg = build_T(lvl, graph, base, node_budget=node_budget, time_budget=time_budget)
                 algs[lvl] = alg
                 dims[lvl] = alg.dim
             except BudgetExceededError:
@@ -184,7 +175,10 @@ def _scan_line(
 ) -> tuple[int, Optional[list[ScanRecord]]]:
     """Classify one corpus line; None marks a skipped disconnected graph."""
     lineno, line = payload
-    graph = parse_graph6(line)
+    try:
+        graph = parse_graph6(line)
+    except Graph6Error as exc:
+        raise Graph6Error(f"line {lineno}: {exc}") from None
     if not graph.is_connected():
         return lineno, None
     records = classify_graph(
@@ -208,7 +202,8 @@ def scan_corpus(
 
     source is a path or an iterable of lines.  Output order is input order
     then base representative, independent of the worker count.  Disconnected
-    graphs are skipped and counted in stats; malformed lines abort the scan.
+    graphs are skipped and counted in stats; a malformed line aborts the scan
+    with a Graph6Error that names its line number.
     """
     if filter not in FILTERS:
         raise ValueError(f"filter must be one of {FILTERS}")

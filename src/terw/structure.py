@@ -68,7 +68,8 @@ class WedderburnDecomposition:
     """A certified type together with the numeric central projectors.
 
     projectors[i] belongs to type.blocks[i]; center is the exact center
-    basis of the input algebra.
+    basis of the input algebra; seed is the one that drew the central
+    element of the attempt that succeeded.
     """
 
     type: WedderburnType
@@ -142,7 +143,8 @@ def wedderburn_decompose(
 
     last_error = "no attempt"
     for attempt in range(_MAX_SEED_RETRIES):
-        rng = np.random.default_rng(seed + 7919 * attempt)
+        attempt_seed = seed + 7919 * attempt
+        rng = np.random.default_rng(attempt_seed)
         coeffs = rng.integers(1, 1000, size=s)
         z = sum(int(c) * zm for c, zm in zip(coeffs, center_mats))
         evals, evecs = np.linalg.eig(z)
@@ -201,7 +203,7 @@ def wedderburn_decompose(
         if any(sz < 1 or m < 1 for sz, m in wtype.blocks):
             last_error = "non-positive block data"
             continue
-        return WedderburnDecomposition(type=wtype, projectors=projectors, center=center, seed=seed)
+        return WedderburnDecomposition(type=wtype, projectors=projectors, center=center, seed=attempt_seed)
     raise DecompositionError(f"decomposition failed after {_MAX_SEED_RETRIES} attempts: {last_error}")
 
 

@@ -7,7 +7,10 @@ regularity, products and memberships checked by exact elimination where
 the package certifies closure and containment from partition facts, a
 row-at-a-time elimination and closure where the package works a block of
 rows at a time, and a fully exact Wedderburn type via minimal-polynomial
-factorization with rational projector arithmetic (sympy).
+factorization with rational projector arithmetic (sympy).  It also holds
+graph invariants that only the tests compare against: the exact
+characteristic polynomial and spectrum summary, distance regularity, the
+full Paley automorphism group, and permutation cycles.
 """
 
 from __future__ import annotations
@@ -16,12 +19,25 @@ import itertools
 import math
 from bisect import bisect_left
 from collections import deque
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import NamedTuple, Optional
 
 import numpy as np
 import sympy
 
-from terw.graphs import Graph
+from terw.errors import CertificationError
+from terw.graphs import Graph, PaleyConstruction
+from terw.groups import Perm, PermGroup, is_automorphism, paley_stabilizer_generators
 from terw.linalg import SpanBasis, as_int_matrix, exact_matmul
+
+# absolute gap below which two numerically computed adjacency eigenvalues
+# are treated as equal; misclustering is caught by the exact distinct count
+EIG_CLUSTER_TOL = 1e-7
+
+
+class ToleranceError(RuntimeError):
+    """A floating-point step disagreed with an exact cross-check."""
 
 
 def brute_automorphisms(graph: Graph) -> list[tuple[int, ...]]:
@@ -309,3 +325,195 @@ def sympy_center_dim(basis_mats: list[np.ndarray]) -> int:
          for i in range(d) for r in range(n) for c in range(n)]
     )
     return d - system.rank()
+
+
+# ---------------------------------------------------------------------------
+# permutations and the full Paley automorphism group
+# ---------------------------------------------------------------------------
+
+def perm_cycles(perm: Perm) -> list[tuple[int, ...]]:
+    """Nontrivial cycles, each rotated to start at its smallest point."""
+    seen = [False] * perm.n
+    out = []
+    for start in range(perm.n):
+        if seen[start] or perm.images[start] == start:
+            seen[start] = True
+            continue
+        cyc = [start]
+        seen[start] = True
+        v = perm.images[start]
+        while v != start:
+            cyc.append(v)
+            seen[v] = True
+            v = perm.images[v]
+        out.append(tuple(cyc))
+    return out
+
+
+def paley_automorphism_group(pc: PaleyConstruction) -> PermGroup:
+    """Full automorphism group: translations plus the zero stabilizer."""
+    f = pc.gf()
+    translations = []
+    for i in range(pc.a):
+        alpha = tuple(1 if j == i else 0 for j in range(pc.a))
+        translations.append(Perm(tuple(pc.index[f.add(x, alpha)] for x in pc.order)))
+    stab = paley_stabilizer_generators(pc)
+    graph = pc.graph()
+    if not all(is_automorphism(graph, g) for g in translations):
+        raise CertificationError("translation is not an automorphism")
+    return PermGroup(n=pc.q, gens=tuple(translations) + stab.gens, origin="analytic-family")
+
+
+# ---------------------------------------------------------------------------
+# distance regularity
+# ---------------------------------------------------------------------------
+
+def distance_matrix(graph: Graph) -> list[list[int]]:
+    """All-pairs distances by BFS from every vertex; -1 marks unreachable."""
+    out = []
+    for s in range(graph.n):
+        dist = [-1] * graph.n
+        dist[s] = 0
+        q = deque([s])
+        while q:
+            u = q.popleft()
+            for v in graph.neighbors(u):
+                if dist[v] < 0:
+                    dist[v] = dist[u] + 1
+                    q.append(v)
+        out.append(dist)
+    return out
+
+
+@dataclass(frozen=True)
+class IntersectionNumbers:
+    """Intersection numbers p[i][j][k] of a distance-regular graph."""
+
+    diameter: int
+    table: tuple[tuple[tuple[int, ...], ...], ...]
+
+    def p(self, i: int, j: int, k: int) -> int:
+        return self.table[i][j][k]
+
+
+def is_distance_regular(graph: Graph) -> Optional[IntersectionNumbers]:
+    """Full intersection array if the graph is distance-regular, else None."""
+    if not graph.is_connected():
+        return None
+    dm = distance_matrix(graph)
+    n = graph.n
+    diam = max(max(row) for row in dm)
+    counts: list[list[list[Optional[int]]]] = [
+        [[None] * (diam + 1) for _ in range(diam + 1)] for _ in range(diam + 1)
+    ]
+    for x in range(n):
+        for y in range(n):
+            k = dm[x][y]
+            profile = [[0] * (diam + 1) for _ in range(diam + 1)]
+            for z in range(n):
+                profile[dm[x][z]][dm[z][y]] += 1
+            for i in range(diam + 1):
+                for j in range(diam + 1):
+                    prev = counts[i][j][k]
+                    if prev is None:
+                        counts[i][j][k] = profile[i][j]
+                    elif prev != profile[i][j]:
+                        return None
+    table = tuple(
+        tuple(tuple(counts[i][j][k] or 0 for k in range(diam + 1)) for j in range(diam + 1))
+        for i in range(diam + 1)
+    )
+    return IntersectionNumbers(diameter=diam, table=table)
+
+
+# ---------------------------------------------------------------------------
+# exact characteristic polynomial and the spectrum summary
+# ---------------------------------------------------------------------------
+
+def charpoly_exact(mat: np.ndarray) -> list[int]:
+    """Integer coefficients of det(xI - A), leading first (Faddeev-LeVerrier).
+
+    All intermediate divisions are exact over the integers; arithmetic runs
+    in arbitrary precision.
+    """
+    a = np.asarray(mat, dtype=object)
+    n = a.shape[0]
+    coeffs = [1]
+    m = np.eye(n, dtype=object)
+    for k in range(1, n + 1):
+        am = np.dot(a, m)
+        tr = int(np.trace(am))
+        q, r = divmod(-tr, k)
+        if r:
+            raise CertificationError("Faddeev-LeVerrier division must be exact")
+        coeffs.append(q)
+        m = am + q * np.eye(n, dtype=object)
+    return coeffs
+
+
+def _poly_deriv(p: list[Fraction]) -> list[Fraction]:
+    n = len(p) - 1
+    return [c * (n - i) for i, c in enumerate(p[:-1])]
+
+
+def _poly_mod(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+    a = list(a)
+    db = len(b) - 1
+    while len(a) - 1 >= db and any(a):
+        if a[0] == 0:
+            a.pop(0)
+            continue
+        f = a[0] / b[0]
+        for i in range(db + 1):
+            a[i] -= f * b[i]
+        a.pop(0)
+    while a and a[0] == 0:
+        a.pop(0)
+    return a
+
+
+def _poly_gcd_degree(p: list[int], q: list[int]) -> int:
+    a = [Fraction(c) for c in p]
+    b = [Fraction(c) for c in q]
+    while b:
+        a, b = b, _poly_mod(a, b)
+    return len(a) - 1
+
+
+def distinct_eigenvalue_count(graph: Graph) -> int:
+    """Number of distinct adjacency eigenvalues, exactly (squarefree degree)."""
+    p = charpoly_exact(graph.adjacency_matrix())
+    return len(p) - 1 - _poly_gcd_degree(p, [int(c) for c in _poly_deriv([Fraction(c) for c in p])])
+
+
+class SpectrumSummary(NamedTuple):
+    distinct_count: int
+    multiplicities: tuple[int, ...]
+
+
+def spectrum_summary(graph: Graph) -> SpectrumSummary:
+    """Distinct eigenvalue count (exact) and multiplicities (checked numerics).
+
+    The count comes from the squarefree degree of the exact characteristic
+    polynomial; multiplicities come from clustering numerically computed
+    eigenvalues and must reproduce exactly that many clusters summing to n,
+    otherwise a ToleranceError is raised.
+    """
+    t = distinct_eigenvalue_count(graph)
+    evals = np.linalg.eigvalsh(graph.adjacency_matrix().astype(float))
+    mults = []
+    count = 1
+    for i in range(1, len(evals)):
+        if evals[i] - evals[i - 1] > EIG_CLUSTER_TOL:
+            mults.append(count)
+            count = 1
+        else:
+            count += 1
+    mults.append(count)
+    if len(mults) != t:
+        raise ToleranceError(
+            f"eigenvalue clustering found {len(mults)} groups but the exact count is {t}"
+        )
+    if sum(mults) != graph.n:
+        raise ToleranceError("cluster multiplicities do not sum to n")
+    return SpectrumSummary(distinct_count=t, multiplicities=tuple(mults))

@@ -10,7 +10,7 @@ import json
 import math
 import time
 
-from oracles import brute_automorphisms, exact_wedderburn_type, find_isomorphism
+from oracles import brute_automorphisms, exact_wedderburn_type, find_isomorphism, spectrum_summary
 from test_algebras import kite_apex_span_matrices
 from terw.graphs import (
     gen_cycle,
@@ -20,7 +20,6 @@ from terw.graphs import (
     gen_star,
     is_strongly_regular,
     parse_graph6,
-    spectrum_summary,
 )
 from terw.groups import automorphism_group, orbitals, paley_stabilizer_generators, stabilizer
 from terw.algebras import build_T, chain_with_algebras, corner, is_commutative

@@ -406,7 +406,7 @@ class TestStructuralInvariants:
                 assert alg.contains(np.eye(g.n, dtype=np.int64))
 
     def test_level0_dim_equals_distinct_eigenvalues(self, corpus):
-        from terw.graphs import spectrum_summary
+        from oracles import spectrum_summary
 
         for g in corpus[6][:25]:
             assert build_T(0, g, 0).dim == spectrum_summary(g).distinct_count

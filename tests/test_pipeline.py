@@ -1,7 +1,10 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from corpusgen import connected_graphs
 from terw.graphs import gen_cycle, gen_delta, gen_paley, write_graph6
 from terw.pipeline import (
     ScanRecord,
@@ -56,6 +59,27 @@ class TestClassify:
         bad = ScanRecord("Bw", 3, 0, 3, (1, 2, 2, 2, 2), (True, True, True, True), None, "ok")
         with pytest.raises(AssertionError):
             bad.validate()
+
+
+@st.composite
+def _relabelled(draw):
+    """A connected graph with n <= 6, a base vertex, and a vertex permutation."""
+    n = draw(st.integers(1, 6))
+    graphs = connected_graphs(n)
+    graph = graphs[draw(st.integers(0, len(graphs) - 1))]
+    return graph, draw(st.integers(0, n - 1)), draw(st.permutations(range(n)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_relabelled())
+def test_relabelling_keeps_dims_flags_and_types(case):
+    graph, base, perm = case
+    (rec,) = classify_graph(graph, bases=[base], decompose=True)
+    (moved,) = classify_graph(graph.relabel(perm), bases=[perm[base]], decompose=True)
+    assert moved.status == rec.status == "ok"
+    assert moved.dims == rec.dims
+    assert moved.eq_flags == rec.eq_flags
+    assert moved.types == rec.types
 
 
 class TestScan:

@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 
@@ -71,6 +73,22 @@ class TestDecompose:
         alg = build_T(3, gen_delta(5), 4)
         assert wedderburn_decompose(alg, seed=0).type == wedderburn_decompose(alg, seed=1).type
 
+    def test_seed_of_successful_retry_recorded(self, monkeypatch):
+        from terw import structure
+
+        cluster = structure._cluster_complex
+        calls = []
+
+        def fail_once(values, count):
+            calls.append(count)
+            return None if len(calls) == 1 else cluster(values, count)
+
+        monkeypatch.setattr(structure, "_cluster_complex", fail_once)
+        dec = wedderburn_decompose(build_T(2, gen_delta(5), 4), seed=0)
+        assert len(calls) == 2
+        assert dec.seed == 7919
+        assert dec.type.render() == "M3+C+C"
+
     def test_transposed_basis_same_type(self):
         alg = build_T(2, gen_delta(6), 5)
         flipped = SpanBasis(alg.n)
@@ -92,6 +110,15 @@ class TestExactOracle:
             alg.basis.matrices(), center_basis(alg.basis).matrices()
         )
         assert dec.type.blocks == oracle
+
+    def test_corpus6_sample_all_levels(self, corpus):
+        for g in random.Random(0).sample(corpus[6], 20):
+            for level in range(5):
+                alg = build_T(level, g, 0)
+                oracle = exact_wedderburn_type(
+                    alg.basis.matrices(), center_basis(alg.basis).matrices()
+                )
+                assert wedderburn_decompose(alg).type.blocks == oracle
 
     def test_cyclic_algebra_oracle(self):
         p = np.zeros((3, 3), dtype=np.int64)
