@@ -40,7 +40,7 @@ import numpy as np
 from . import linalg
 from .errors import CertificationError
 from .graphs import Graph, bfs_distance_partition
-from .groups import PermGroup, orbital_matrices, orbitals, stabilizer, vertex_orbits
+from .groups import DEFAULT_NODE_BUDGET, PermGroup, orbital_matrices, orbitals, stabilizer, vertex_orbits
 from .linalg import SpanBasis, algebra_closure, exact_matmul
 
 LEVELS = (0, 1, 2, 3, 4)
@@ -123,7 +123,7 @@ def build_T(
     base: int,
     *,
     stab: Optional[PermGroup] = None,
-    node_budget: int = 10**7,
+    node_budget: int = DEFAULT_NODE_BUDGET,
     time_budget: Optional[float] = None,
 ) -> AlgebraBasis:
     """Exact basis of the level-0..4 algebra of (graph, base).
@@ -215,7 +215,7 @@ def chain_with_algebras(
     base: int,
     *,
     stab: Optional[PermGroup] = None,
-    node_budget: int = 10**7,
+    node_budget: int = DEFAULT_NODE_BUDGET,
     time_budget: Optional[float] = None,
 ) -> tuple[ChainReport, list[AlgebraBasis]]:
     """Dims of all five algebras, adjacency equality flags, and the algebras.

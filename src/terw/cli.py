@@ -63,6 +63,15 @@ def _parse_levels(spec: str) -> list[int]:
     return sorted(out)
 
 
+def _parse_base(spec: str) -> Optional[int]:
+    """--base argument of compute: 'all' (None) or a vertex index >= 0."""
+    if spec == "all":
+        return None
+    if not spec.isdigit():
+        raise argparse.ArgumentTypeError(f"bad base {spec!r}; expected 'all' or a vertex index >= 0")
+    return int(spec)
+
+
 def _load_graphs(spec: str) -> list[tuple[str, Graph]]:
     """--graph argument: a literal graph6 value, or @file with one per line."""
     if spec.startswith("@"):
@@ -77,7 +86,8 @@ def build_parser() -> _Parser:
 
     c = sub.add_parser("compute", help="classify a graph")
     c.add_argument("--graph", required=True, help="graph6 value or @file")
-    c.add_argument("--base", default="all", help="base vertex (0-based) or 'all' for one per orbit")
+    c.add_argument("--base", type=_parse_base, default="all",
+                   help="base vertex (0-based) or 'all' for one per orbit")
     c.add_argument("--levels", type=_parse_levels, default="0-4", help="levels to build, e.g. 0-4 or 2,3")
     c.add_argument("--decompose", action="store_true", help="also report Wedderburn types")
     c.add_argument("--format", choices=("jsonl", "csv", "table"), default="table")
@@ -106,7 +116,7 @@ def build_parser() -> _Parser:
 def _cmd_compute(args) -> int:
     records = []
     for g6, graph in _load_graphs(args.graph):
-        bases = None if args.base == "all" else [int(args.base)]
+        bases = None if args.base is None else [args.base]
         records.extend(
             classify_graph(
                 graph,

@@ -22,7 +22,6 @@ from .errors import BudgetExceededError, CertificationError
 from .graphs import Graph, PaleyConstruction
 
 DEFAULT_NODE_BUDGET = 10**7
-DEFAULT_SEARCH_BOUND = 64
 
 
 @dataclass(frozen=True)
@@ -337,15 +336,10 @@ def _run_search(graph: Graph, init_cells: list[tuple[int, ...]], node_budget: in
 def automorphism_group(
     graph: Graph,
     *,
-    search_bound: int = DEFAULT_SEARCH_BOUND,
     node_budget: int = DEFAULT_NODE_BUDGET,
     time_budget: Optional[float] = None,
 ) -> PermGroup:
     """Generating set of the full automorphism group, by backtracking search."""
-    if graph.n > search_bound:
-        raise BudgetExceededError(
-            f"n={graph.n} exceeds the search bound {search_bound}; pass an analytic group instead"
-        )
     return _run_search(graph, [tuple(range(graph.n))], node_budget, time_budget, "computed-by-search")
 
 
@@ -353,7 +347,6 @@ def stabilizer(
     graph: Graph,
     base: int,
     *,
-    search_bound: int = DEFAULT_SEARCH_BOUND,
     node_budget: int = DEFAULT_NODE_BUDGET,
     time_budget: Optional[float] = None,
 ) -> PermGroup:
@@ -364,10 +357,6 @@ def stabilizer(
     """
     if not 0 <= base < graph.n:
         raise ValueError(f"base vertex {base} out of range")
-    if graph.n > search_bound:
-        raise BudgetExceededError(
-            f"n={graph.n} exceeds the search bound {search_bound}; pass an analytic group instead"
-        )
     if graph.n == 1:
         return PermGroup(n=1, gens=(), origin="computed-by-search")
     init = [(base,), tuple(v for v in range(graph.n) if v != base)]

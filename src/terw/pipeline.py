@@ -22,7 +22,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 from .algebras import build_T, chain_with_algebras
 from .errors import BudgetExceededError, CertificationError, DecompositionError, Graph6Error
 from .graphs import Graph, iter_graph6_lines, parse_graph6, write_graph6
-from .groups import automorphism_group, vertex_orbits
+from .groups import DEFAULT_NODE_BUDGET, automorphism_group, vertex_orbits
 from .structure import WedderburnType, wedderburn_decompose
 
 STATUS_OK = "ok"
@@ -32,7 +32,6 @@ STATUS_DECOMPOSE = "decompose-failed"
 FILTERS = ("all", "t1-ne-t2", "t2-ne-t3", "t3-ne-t4")
 
 DEFAULT_TIME_BUDGET = 60.0
-DEFAULT_NODE_BUDGET = 10**7
 
 
 @dataclass(frozen=True)
@@ -94,9 +93,7 @@ def classify_graph(
 
     if bases is None:
         try:
-            aut = automorphism_group(
-                graph, search_bound=graph.n, node_budget=node_budget, time_budget=remaining()
-            )
+            aut = automorphism_group(graph, node_budget=node_budget, time_budget=remaining())
         except BudgetExceededError:
             nones = (None,) * 5
             return [ScanRecord(g6, graph.n, 0, 0, nones, (None,) * 4, None, STATUS_BUDGET)]

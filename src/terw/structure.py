@@ -1,8 +1,11 @@
 """Wedderburn decomposition of a self-adjoint algebra basis, plus thinness.
 
 The pipeline is hybrid: everything countable (dimension, center, ranks of
-integer row spaces, memberships) is exact, while the spectral splitting of
-a generic central element is floating point.  Every floating-point
+integer row spaces, memberships) is exact, while the spectral splitting is
+floating point.  The input must be closed under transpose (checked
+exactly): then its central idempotents are Hermitian, so a Hermitian
+central element splits the algebra by a symmetric eigensolver with
+orthogonal projectors onto its eigenspaces.  Every floating-point
 conclusion must reconcile with an exact integer identity (block count =
 center dimension, sum of squared block sizes = algebra dimension, weighted
 block sizes = matrix side) before a result is reported; any mismatch raises
@@ -20,12 +23,10 @@ from .algebras import AlgebraBasis, corner, is_commutative
 from .errors import DecompositionError
 from .linalg import SpanBasis, center_basis, exact_matmul
 
-# relative gap for clustering eigenvalues of the generic central element
+# relative gap for clustering eigenvalues of the Hermitian central element
 _CLUSTER_REL_TOL = 1e-6
 # singular values below this fraction of the largest count as zero
 _RANK_REL_TOL = 1e-8
-# how close a floating-point count must be to an integer
-_NEAR_INT_TOL = 1e-4
 _MAX_SEED_RETRIES = 3
 
 
@@ -82,37 +83,22 @@ def _as_span(algebra: AlgebraBasis | SpanBasis) -> SpanBasis:
     return algebra.basis if isinstance(algebra, AlgebraBasis) else algebra
 
 
-def _cluster_complex(values: np.ndarray, count: int) -> Optional[list[list[int]]]:
-    """Single-linkage clusters of complex values; None unless exactly count."""
-    m = len(values)
-    diam = 0.0
-    for i in range(m):
-        diam = max(diam, float(np.max(np.abs(values - values[i]))))
-    tol = max(_CLUSTER_REL_TOL * diam, 1e-12)
-    parent = list(range(m))
+def _clusters(values: np.ndarray, count: int) -> Optional[list[np.ndarray]]:
+    """Index runs of ascending real values, cut at gaps above the tolerance.
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i in range(m):
-        for j in range(i + 1, m):
-            if abs(values[i] - values[j]) <= tol:
-                parent[find(i)] = find(j)
-    groups: dict[int, list[int]] = {}
-    for i in range(m):
-        groups.setdefault(find(i), []).append(i)
-    if len(groups) != count:
+    None unless there are exactly count runs.
+    """
+    cuts = np.flatnonzero(np.diff(values) > _CLUSTER_REL_TOL * (values[-1] - values[0])) + 1
+    if len(cuts) + 1 != count:
         return None
-    return sorted(groups.values(), key=lambda g: (values[g[0]].real, values[g[0]].imag))
+    return np.split(np.arange(len(values)), cuts)
 
 
-def _float_mat(m: np.ndarray) -> np.ndarray:
-    f = m.astype(np.float64)
-    peak = np.max(np.abs(f))
-    return f / peak if peak > 0 else f
+def _float_stack(span: SpanBasis) -> np.ndarray:
+    """Basis matrices as one (dim, n, n) float array, each scaled to peak 1."""
+    f = span.rows.astype(np.float64)
+    f /= np.abs(f).max(axis=1, keepdims=True)
+    return f.reshape(-1, span.side, span.side)
 
 
 def wedderburn_decompose(
@@ -122,24 +108,29 @@ def wedderburn_decompose(
 ) -> WedderburnDecomposition:
     """Certified block decomposition of a transpose-closed algebra basis.
 
-    Steps: exact center dimension s; generic central element from seeded
-    rational coefficients; numeric eigensplit into exactly s clusters
-    (retrying with fresh seeds a few times); spectral projectors; block
-    sizes from compressed numeric ranks, multiplicities from cluster sizes.
-    All counts must satisfy the exact invariants or the call raises
-    DecompositionError.
+    Steps: exact transpose-closure check (ValueError otherwise); exact
+    center dimension s; central element z from seeded integer coefficients;
+    eigh of the Hermitian central element z + z^T + i(z - z^T) (the real
+    z + z^T when z is symmetric), whose eigenvalues must fall into exactly
+    s runs (retrying with fresh seeds a few times); the orthogonal projector
+    V V^H onto each run's eigenvectors V; block sizes from compressed
+    numeric ranks, multiplicities from run lengths.  All counts must satisfy
+    the exact invariants or the call raises DecompositionError.
     """
     basis = _as_span(algebra)
     n = basis.side
     d = basis.dim
     if d == 0:
         raise ValueError("cannot decompose the zero algebra")
+    transpose = np.arange(n * n).reshape(n, n).T.reshape(-1)
+    if np.any(basis.reduce_block(basis.rows[:, transpose])):
+        raise ValueError("the span is not closed under transpose")
     center = center_basis(basis)
     s = center.dim
     if s == 0:
         raise DecompositionError("center has dimension zero; input is not a unital algebra")
-    center_mats = [_float_mat(m) for m in center.matrices()]
-    basis_float = [_float_mat(m) for m in basis.matrices()]
+    center_mats = _float_stack(center)
+    basis_float = _float_stack(basis)
 
     last_error = "no attempt"
     for attempt in range(_MAX_SEED_RETRIES):
@@ -147,32 +138,24 @@ def wedderburn_decompose(
         rng = np.random.default_rng(attempt_seed)
         coeffs = rng.integers(1, 1000, size=s)
         z = sum(int(c) * zm for c, zm in zip(coeffs, center_mats))
-        evals, evecs = np.linalg.eig(z)
-        clusters = _cluster_complex(evals, s)
+        # z = sum l_i e_i over Hermitian central idempotents e_i, so h is
+        # sum 2(Re l_i - Im l_i) e_i: real eigenvalues that separate conjugate l_i
+        h = z + z.T
+        if not np.array_equal(z, z.T):
+            h = h + 1j * (z - z.T)
+        evals, evecs = np.linalg.eigh(h)
+        clusters = _clusters(evals, s)
         if clusters is None:
             last_error = f"eigenvalues did not split into {s} clusters"
-            continue
-        try:
-            vinv = np.linalg.inv(evecs)
-        except np.linalg.LinAlgError:
-            last_error = "singular eigenvector matrix"
             continue
         pairs: list[tuple[int, int]] = []
         projectors: list[np.ndarray] = []
         ok = True
         for idx in clusters:
-            proj = evecs[:, idx] @ vinv[idx, :]
-            tr = proj.trace()
-            if abs(tr.imag) > _NEAR_INT_TOL or abs(tr.real - round(tr.real)) > _NEAR_INT_TOL:
-                ok = False
-                last_error = f"projector trace {tr} is not a near-integer"
-                break
-            nm = len(idx)  # algebraic multiplicity = rank of the projector
-            if round(tr.real) != nm:
-                ok = False
-                last_error = "projector trace disagrees with cluster size"
-                break
-            stack = np.stack([(proj @ b @ proj).reshape(n * n) for b in basis_float])
+            v = evecs[:, idx]
+            proj = v @ v.conj().T
+            nm = len(idx)  # rank of the projector
+            stack = (proj @ basis_float @ proj).reshape(d, n * n)
             svals = np.linalg.svd(stack, compute_uv=False)
             rank = int(np.sum(svals > _RANK_REL_TOL * svals[0]))
             size = round(rank**0.5)

@@ -94,6 +94,15 @@ def test_bad_level_spec_is_exit_1(capsys):
     assert run(capsys, "decompose", "--graph", "Bw", "--base", "0", "--level", "7")[0] == 1
 
 
+def test_bad_base_is_exit_1(capsys):
+    for base in ("x", "-1", "1.5"):
+        code, _, err = run(capsys, "compute", "--graph", "Dh{", "--base", base)
+        assert code == 1
+        assert "--base" in err
+    # a well-formed vertex that the graph does not have is an input error
+    assert run(capsys, "compute", "--graph", "Dh{", "--base", "9")[0] == 2
+
+
 def test_input_error_is_exit_2(capsys):
     assert run(capsys, "compute", "--graph", "!!notgraph6!!")[0] == 2
     assert run(capsys, "scan", "/nonexistent/file.g6")[0] == 2
@@ -131,6 +140,16 @@ def test_compute_budget_record_is_exit_3(capsys, monkeypatch):
     assert code == 3
     (row,) = [json.loads(line) for line in out.splitlines()]
     assert row["status"] == "stabilizer-budget-exceeded"
+
+
+def test_compute_searches_stabilizer_of_large_graph(capsys):
+    # 81 vertices: the stabilizer search runs under its budgets, whatever n
+    g6 = write_graph6(gen_paley(3, 4)[0]).decode()
+    code, out, _ = run(capsys, "compute", "--graph", g6, "--base", "0", "--levels", "3", "--format", "jsonl")
+    assert code == 0
+    (row,) = [json.loads(line) for line in out.splitlines()]
+    assert row["status"] == "ok"
+    assert row["dims"][3] == 33
 
 
 def test_budget_status_recorded(tmp_path):

@@ -57,10 +57,6 @@ class TestAutomorphismSearch:
             for perm in automorphism_group(g).gens:
                 assert is_automorphism(g, perm)
 
-    def test_search_bound(self):
-        with pytest.raises(BudgetExceededError):
-            automorphism_group(gen_cycle(10), search_bound=5)
-
     def test_node_budget(self):
         with pytest.raises(BudgetExceededError):
             automorphism_group(gen_star(12), node_budget=3)

@@ -60,14 +60,23 @@ class TestDecompose:
             assert all(s == 1 for s, _ in dec.type.blocks)
             assert dec.type.num_blocks == t0.dim
 
-    def test_cyclic_rotation_algebra(self):
-        # regular representation of a 3-cycle: three 1-dim blocks with
-        # complex central idempotents; the decomposer must handle the
-        # complex eigenvalue clusters
-        p = np.zeros((3, 3), dtype=np.int64)
-        p[0, 1] = p[1, 2] = p[2, 0] = 1
+    @pytest.mark.parametrize("k", range(3, 9))
+    def test_cyclic_rotation_algebra(self, k):
+        # regular representation of C_k: k 1-dim blocks whose central
+        # idempotents come in up to three complex-conjugate pairs, which a
+        # split on the symmetric part of the central element alone merges
+        p = np.roll(np.eye(k, dtype=np.int64), 1, axis=1)
         dec = wedderburn_decompose(algebra_closure([p]))
-        assert dec.type.blocks == ((1, 1),) * 3
+        assert dec.type.blocks == ((1, 1),) * k
+
+    def test_rejects_span_not_closed_under_transpose(self):
+        # I and a nilpotent N span an algebra that is not semisimple, yet
+        # z + z^T has two eigenvalues; only the exact transpose check stops
+        # it from passing as C+C
+        alg = algebra_closure([[[1, 1], [0, 1]]])
+        assert alg.dim == 2
+        with pytest.raises(ValueError, match="transpose"):
+            wedderburn_decompose(alg)
 
     def test_seed_invariance(self):
         alg = build_T(3, gen_delta(5), 4)
@@ -76,14 +85,14 @@ class TestDecompose:
     def test_seed_of_successful_retry_recorded(self, monkeypatch):
         from terw import structure
 
-        cluster = structure._cluster_complex
+        cluster = structure._clusters
         calls = []
 
         def fail_once(values, count):
             calls.append(count)
             return None if len(calls) == 1 else cluster(values, count)
 
-        monkeypatch.setattr(structure, "_cluster_complex", fail_once)
+        monkeypatch.setattr(structure, "_clusters", fail_once)
         dec = wedderburn_decompose(build_T(2, gen_delta(5), 4), seed=0)
         assert len(calls) == 2
         assert dec.seed == 7919
