@@ -13,7 +13,6 @@ graphs where consecutive algebras differ.
 from .graphs import (
     Graph,
     DistancePartition,
-    SrgParams,
     PaleyConstruction,
     parse_graph6,
     write_graph6,
@@ -23,7 +22,6 @@ from .graphs import (
     gen_paley,
     gen_delta,
     bfs_distance_partition,
-    is_strongly_regular,
 )
 from .groups import (
     Perm,

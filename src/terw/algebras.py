@@ -32,13 +32,14 @@ A failed certificate raises CertificationError.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
 from . import linalg
-from .errors import CertificationError
+from .errors import BudgetExceededError, CertificationError
 from .graphs import Graph, bfs_distance_partition
 from .groups import DEFAULT_NODE_BUDGET, PermGroup, orbital_matrices, orbitals, stabilizer, vertex_orbits
 from .linalg import SpanBasis, algebra_closure, exact_matmul
@@ -181,67 +182,83 @@ def build_T(
 
 @dataclass(frozen=True)
 class ChainReport:
-    """Dimensions and equality flags along the chain of the five algebras."""
+    """Dimensions and equality flags along the chain of the five algebras.
 
-    dims: tuple[int, int, int, int, int]
-    equal_next: tuple[bool, bool, bool, bool]
+    A level that was not built (not requested, or cut off by a search budget
+    miss) has dim None, and the flags beside it are None.
+    """
+
+    dims: tuple[Optional[int], ...]
+    equal_next: tuple[Optional[bool], ...]
     # for each strict step, a basis matrix of the larger algebra outside the
     # smaller one (rows are vectorized matrices)
     witnesses: dict[int, np.ndarray]
 
 
-def _certify_chain(graph: Graph, algs: list[AlgebraBasis]) -> None:
+def _certify_step(graph: Graph, small: AlgebraBasis, big: AlgebraBasis) -> None:
     """T_k lies in T_{k+1}: every generator of T_k lies in the algebra T_{k+1}."""
-    n, base = graph.n, algs[0].base
-    t2, t3, t4 = algs[2:]
-    if any(alg.generators[0] != "A" for alg in algs[:4]):
+    n, step = graph.n, small.level
+    if any(alg.generators[0] != "A" for alg in (small, big) if alg.level < 4):
         raise CertificationError("A must generate levels 0-3")
-    if t2.cells[0] != (base,):
+    if step == 1 and big.cells[0] != (big.base,):
         raise CertificationError("distance cell 0 is not the base vertex")
-    dist_cell = {v: k for k, cell in enumerate(t2.cells) for v in cell}
-    if sorted(v for cell in t3.cells for v in cell) != list(range(n)):
-        raise CertificationError("stabilizer orbits do not partition the vertices")
-    if any(len({dist_cell[v] for v in cell}) != 1 for cell in t3.cells):
-        raise CertificationError("a stabilizer orbit meets two distance cells")
-    labels = _cell_labels(n, t4.cells)
-    if not _constant_on_cells(graph.adjacency_matrix(), labels):
-        raise CertificationError("A is not constant on an orbital cell; a stabilizer generator is not an automorphism")
-    if not all(_constant_on_cells(idempotent_for_set(n, cell), labels) for cell in t3.cells):
-        raise CertificationError("an orbit idempotent is not constant on an orbital cell")
+    if step == 2:
+        dist_cell = {v: k for k, cell in enumerate(small.cells) for v in cell}
+        if sorted(v for cell in big.cells for v in cell) != list(range(n)):
+            raise CertificationError("stabilizer orbits do not partition the vertices")
+        if any(len({dist_cell[v] for v in cell}) != 1 for cell in big.cells):
+            raise CertificationError("a stabilizer orbit meets two distance cells")
+    if step == 3:
+        labels = _cell_labels(n, big.cells)
+        if not _constant_on_cells(graph.adjacency_matrix(), labels):
+            raise CertificationError("A is not constant on an orbital cell; a stabilizer generator is not an automorphism")
+        if not all(_constant_on_cells(idempotent_for_set(n, cell), labels) for cell in small.cells):
+            raise CertificationError("an orbit idempotent is not constant on an orbital cell")
 
 
 def chain_with_algebras(
     graph: Graph,
     base: int,
     *,
+    levels: Sequence[int] = LEVELS,
     stab: Optional[PermGroup] = None,
     node_budget: int = DEFAULT_NODE_BUDGET,
     time_budget: Optional[float] = None,
-) -> tuple[ChainReport, list[AlgebraBasis]]:
-    """Dims of all five algebras, adjacency equality flags, and the algebras.
+) -> tuple[ChainReport, list[Optional[AlgebraBasis]]]:
+    """Dims of the requested levels, adjacency equality flags, and the algebras.
 
-    Without a given stabilizer, levels 3 and 4 each search it under the
-    budgets.  Containment of each algebra in the next is certified from
-    partition facts (see the module docstring); for each strict step the
-    first basis matrix of the larger algebra outside the smaller one is kept
-    as a witness.
+    The levels are built in ascending order with ``build_T``.  Without a
+    given stabilizer, levels 3 and 4 each search it under the node budget
+    and what is left of time_budget, which covers the whole chain.  A
+    BudgetExceededError from a search ends the chain: that level and every
+    level above it stay None in the dims and the returned list, as do the
+    levels not requested.  For each pair of adjacent built levels,
+    containment is certified from partition facts (see the module
+    docstring) before its flag is set, and for each strict step the first
+    basis matrix of the larger algebra outside the smaller one is kept as a
+    witness.
     """
-    algs = [
-        build_T(lvl, graph, base, stab=stab, node_budget=node_budget, time_budget=time_budget)
-        for lvl in LEVELS
-    ]
-    _certify_chain(graph, algs)
-    flags = []
+    deadline = None if time_budget is None else time.monotonic() + time_budget
+    algs: list[Optional[AlgebraBasis]] = [None] * len(LEVELS)
+    for lvl in sorted(set(levels)):
+        remaining = None if deadline is None else max(deadline - time.monotonic(), 0.01)
+        try:
+            algs[lvl] = build_T(lvl, graph, base, stab=stab, node_budget=node_budget, time_budget=remaining)
+        except BudgetExceededError:
+            break
+    flags: list[Optional[bool]] = [None] * 4
     witnesses: dict[int, np.ndarray] = {}
     for lvl in range(4):
         small, big = algs[lvl], algs[lvl + 1]
-        eq = small.dim == big.dim
-        flags.append(eq)
-        if not eq:
+        if small is None or big is None:
+            continue
+        _certify_step(graph, small, big)
+        flags[lvl] = small.dim == big.dim
+        if not flags[lvl]:
             outside = np.any(small.basis.reduce_block(big.basis.rows), axis=1)
             witnesses[lvl] = big.basis.rows[int(np.argmax(outside))].reshape(graph.n, graph.n)
-    report = ChainReport(dims=tuple(a.dim for a in algs), equal_next=tuple(flags), witnesses=witnesses)
-    return report, algs
+    dims = tuple(None if alg is None else alg.dim for alg in algs)
+    return ChainReport(dims=dims, equal_next=tuple(flags), witnesses=witnesses), algs
 
 
 def corner(algebra: AlgebraBasis | SpanBasis, vertices) -> SpanBasis:

@@ -63,21 +63,31 @@ def _parse_levels(spec: str) -> list[int]:
     return sorted(out)
 
 
+def _parse_vertex(spec: str) -> int:
+    """--base argument: a vertex index >= 0; anything else is a usage error."""
+    if not spec.isdigit():
+        raise argparse.ArgumentTypeError(f"bad base {spec!r}; expected a vertex index >= 0")
+    return int(spec)
+
+
 def _parse_base(spec: str) -> Optional[int]:
     """--base argument of compute: 'all' (None) or a vertex index >= 0."""
-    if spec == "all":
-        return None
-    if not spec.isdigit():
-        raise argparse.ArgumentTypeError(f"bad base {spec!r}; expected 'all' or a vertex index >= 0")
-    return int(spec)
+    return None if spec == "all" else _parse_vertex(spec)
 
 
 def _load_graphs(spec: str) -> list[tuple[str, Graph]]:
     """--graph argument: a literal graph6 value, or @file with one per line."""
-    if spec.startswith("@"):
-        with open(spec[1:], "rb") as fh:
-            return [(line.decode("ascii"), parse_graph6(line)) for _, line in iter_graph6_lines(fh)]
-    return [(spec, parse_graph6(spec))]
+    if not spec.startswith("@"):
+        return [(spec, parse_graph6(spec))]
+    out = []
+    with open(spec[1:], "rb") as fh:
+        for lineno, line in iter_graph6_lines(fh):
+            try:
+                graph = parse_graph6(line)
+            except Graph6Error as exc:
+                raise Graph6Error(f"line {lineno}: {exc}") from None
+            out.append((line.decode("ascii"), graph))
+    return out
 
 
 def build_parser() -> _Parser:
@@ -108,7 +118,7 @@ def build_parser() -> _Parser:
 
     d = sub.add_parser("decompose", help="Wedderburn type of one algebra")
     d.add_argument("--graph", required=True, help="graph6 value")
-    d.add_argument("--base", required=True, type=int)
+    d.add_argument("--base", required=True, type=_parse_vertex, help="base vertex (0-based)")
     d.add_argument("--level", required=True, type=int, choices=range(5))
     return p
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable
 
 import numpy as np
 
@@ -78,9 +78,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return self._bits[v].bit_count()
 
-    def degree_sequence(self) -> list[int]:
-        return [self.degree(v) for v in range(self.n)]
-
     def edges(self) -> list[tuple[int, int]]:
         return [(u, v) for u in range(self.n) for v in self.neighbors(u) if u < v]
 
@@ -107,10 +104,6 @@ class Graph:
             frontier = nxt & ~seen
             seen |= nxt
         return seen == (1 << self.n) - 1
-
-    def complement(self) -> "Graph":
-        mask = (1 << self.n) - 1
-        return Graph.from_bits(~b & mask & ~(1 << v) for v, b in enumerate(self._bits))
 
     def relabel(self, perm: list[int]) -> "Graph":
         """New graph with vertex v renamed perm[v]."""
@@ -500,52 +493,3 @@ def bfs_distance_partition(graph: Graph, base: int) -> DistancePartition:
     d = max(dist)
     cells = [tuple(v for v in range(graph.n) if dist[v] == k) for k in range(d + 1)]
     return DistancePartition(base=base, cells=tuple(cells))
-
-
-@dataclass(frozen=True)
-class SrgParams:
-    """Strongly regular graph parameters."""
-
-    n: int
-    k: int
-    lam: int
-    mu: int
-
-    def feasible(self) -> bool:
-        return self.k * (self.k - self.lam - 1) == (self.n - self.k - 1) * self.mu
-
-
-def is_strongly_regular(graph: Graph) -> Optional[SrgParams]:
-    """Parameters of a primitive strongly regular graph, or None.
-
-    Primitive means both the graph and its complement are connected, which
-    excludes complete and complete multipartite cases.
-    """
-    n = graph.n
-    if not graph.is_connected() or not graph.complement().is_connected():
-        return None
-    degs = graph.degree_sequence()
-    k = degs[0]
-    if any(d != k for d in degs):
-        return None
-    lam = mu = None
-    for u in range(n):
-        bu = graph.bits(u)
-        for v in range(u + 1, n):
-            common = (bu & graph.bits(v)).bit_count()
-            if graph.has_edge(u, v):
-                if lam is None:
-                    lam = common
-                elif lam != common:
-                    return None
-            else:
-                if mu is None:
-                    mu = common
-                elif mu != common:
-                    return None
-    if lam is None or mu is None:
-        return None
-    params = SrgParams(n=n, k=k, lam=lam, mu=mu)
-    if not params.feasible():
-        raise CertificationError(f"measured parameters {params} violate the feasibility identity")
-    return params

@@ -41,22 +41,8 @@ class Perm:
     def __call__(self, v: int) -> int:
         return self.images[v]
 
-    def __mul__(self, other: "Perm") -> "Perm":
-        # (p*q)(x) = p(q(x))
-        return Perm(tuple(self.images[i] for i in other.images))
-
-    def inverse(self) -> "Perm":
-        inv = [0] * len(self.images)
-        for i, j in enumerate(self.images):
-            inv[j] = i
-        return Perm(tuple(inv))
-
     def is_identity(self) -> bool:
         return all(i == j for i, j in enumerate(self.images))
-
-    @classmethod
-    def identity(cls, n: int) -> "Perm":
-        return cls(tuple(range(n)))
 
 
 def is_automorphism(graph: Graph, perm: Perm) -> bool:
@@ -89,13 +75,6 @@ class PermGroup:
             if g.n != self.n:
                 raise ValueError("generator degree mismatch")
 
-    def is_trivial(self) -> bool:
-        return all(g.is_identity() for g in self.gens)
-
-    def order(self) -> int:
-        """Group order by recursive orbit-stabilizer with coset representatives."""
-        return _order_recursive([g for g in self.gens if not g.is_identity()], self.n)
-
 
 def point_orbit(points: Iterable[int], images: Sequence[Sequence[int]]) -> set[int]:
     """Orbit of a set of points under the maps given by their image tables."""
@@ -109,29 +88,6 @@ def point_orbit(points: Iterable[int], images: Sequence[Sequence[int]]) -> set[i
                 orbit.add(w)
                 queue.append(w)
     return orbit
-
-
-def _order_recursive(gens: list[Perm], n: int) -> int:
-    if not gens:
-        return 1
-    moved = min(v for g in gens for v in range(n) if g(v) != v)
-    # transversal: orbit representatives as explicit permutations
-    reps: dict[int, Perm] = {moved: Perm.identity(n)}
-    queue = deque([moved])
-    while queue:
-        u = queue.popleft()
-        for g in gens:
-            w = g(u)
-            if w not in reps:
-                reps[w] = g * reps[u]
-                queue.append(w)
-    schreier: dict[tuple[int, ...], Perm] = {}
-    for u, rep in reps.items():
-        for g in gens:
-            s = reps[g(u)].inverse() * (g * rep)
-            if not s.is_identity():
-                schreier.setdefault(s.images, s)
-    return len(reps) * _order_recursive(list(schreier.values()), n)
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,12 @@
 
 One record is produced per orbit of base vertices under the full
 automorphism group (base vertices in one orbit yield isomorphic algebras,
-so one representative suffices).  Scans are deterministic for any worker
+so one representative suffices).  Each record comes from one
+``chain_with_algebras`` call over the requested levels: its dims and
+certified flags are the chain's, a level the chain left None (a search
+budget miss) makes the record ``stabilizer-budget-exceeded``, and a level
+whose flag says it equals the level below takes that level's Wedderburn
+type instead of decomposing again.  Scans are deterministic for any worker
 count: workers map over whole graphs and results are merged in input
 order, with records sorted by base representative inside each graph.
 """
@@ -19,7 +24,9 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .algebras import build_T, chain_with_algebras
+# build_T is not called here, the chain builds every level; the name stays
+# importable because bench/tracing.py wraps terw.pipeline.build_T as a span site
+from .algebras import build_T, chain_with_algebras  # noqa: F401
 from .errors import BudgetExceededError, CertificationError, DecompositionError, Graph6Error
 from .graphs import Graph, iter_graph6_lines, parse_graph6, write_graph6
 from .groups import DEFAULT_NODE_BUDGET, automorphism_group, vertex_orbits
@@ -114,46 +121,25 @@ def classify_graph(
 
 
 def _classify_base(graph, base, orbit_size, g6, levels, decompose, node_budget, time_budget):
-    n = graph.n
-    dims: list[Optional[int]] = [None] * 5
+    report, algs = chain_with_algebras(
+        graph, base, levels=levels, node_budget=node_budget, time_budget=time_budget
+    )
+    status = STATUS_BUDGET if any(report.dims[lvl] is None for lvl in levels) else STATUS_OK
     types: list[Optional[WedderburnType]] = [None] * 5
-    status = STATUS_OK
-    algs = {}
-    if levels == [0, 1, 2, 3, 4]:
-        try:
-            report, built = chain_with_algebras(
-                graph, base, node_budget=node_budget, time_budget=time_budget
-            )
-            dims = list(report.dims)
-            algs = dict(enumerate(built))
-        except BudgetExceededError:
-            status = STATUS_BUDGET
-            for lvl in (0, 1, 2):
-                alg = build_T(lvl, graph, base)
-                algs[lvl] = alg
-                dims[lvl] = alg.dim
-    else:
-        for lvl in levels:
-            try:
-                alg = build_T(lvl, graph, base, node_budget=node_budget, time_budget=time_budget)
-                algs[lvl] = alg
-                dims[lvl] = alg.dim
-            except BudgetExceededError:
-                status = STATUS_BUDGET
     if decompose and status == STATUS_OK:
         for lvl in levels:
+            if lvl > 0 and report.equal_next[lvl - 1]:
+                # certified containment and equal dims: the same span, so the same
+                # normal-form rows and the same seeded type (or the same failure)
+                types[lvl] = types[lvl - 1]
+                continue
             try:
                 types[lvl] = wedderburn_decompose(algs[lvl]).type
             except DecompositionError:
                 status = STATUS_DECOMPOSE
-                types[lvl] = None
-    flags: list[Optional[bool]] = [None] * 4
-    for lvl in range(4):
-        if dims[lvl] is not None and dims[lvl + 1] is not None:
-            flags[lvl] = dims[lvl] == dims[lvl + 1]
     rec = ScanRecord(
-        graph6=g6, n=n, base=base, orbit_size=orbit_size,
-        dims=tuple(dims), eq_flags=tuple(flags),
+        graph6=g6, n=graph.n, base=base, orbit_size=orbit_size,
+        dims=report.dims, eq_flags=report.equal_next,
         types=tuple(types) if decompose else None, status=status,
     )
     rec.validate()

@@ -9,8 +9,10 @@ row-at-a-time elimination and closure where the package works a block of
 rows at a time, and a fully exact Wedderburn type via minimal-polynomial
 factorization with rational projector arithmetic (sympy).  It also holds
 graph invariants that only the tests compare against: the exact
-characteristic polynomial and spectrum summary, distance regularity, the
-full Paley automorphism group, and permutation cycles.
+characteristic polynomial and spectrum summary, distance regularity, strong
+regularity with its parameters, the complement and degree sequence, the
+full Paley automorphism group, permutation products, inverses and cycles,
+and group orders by orbit-stabilizer recursion.
 """
 
 from __future__ import annotations
@@ -68,7 +70,7 @@ def find_isomorphism(g1: Graph, g2: Graph) -> tuple[int, ...] | None:
     """A vertex bijection carrying g1 onto g2, or None (brute force)."""
     if g1.n != g2.n or g1.num_edges() != g2.num_edges():
         return None
-    if sorted(g1.degree_sequence()) != sorted(g2.degree_sequence()):
+    if sorted(degree_sequence(g1)) != sorted(degree_sequence(g2)):
         return None
     edges = g1.edges()
     for p in itertools.permutations(range(g1.n)):
@@ -210,10 +212,68 @@ def rowwise_closure(generators, side: int | None = None) -> RowwiseSpan:
     return basis
 
 
+def complement(graph: Graph) -> Graph:
+    mask = (1 << graph.n) - 1
+    return Graph.from_bits(~graph.bits(v) & mask & ~(1 << v) for v in range(graph.n))
+
+
+def degree_sequence(graph: Graph) -> list[int]:
+    return [graph.degree(v) for v in range(graph.n)]
+
+
+@dataclass(frozen=True)
+class SrgParams:
+    """Strongly regular graph parameters."""
+
+    n: int
+    k: int
+    lam: int
+    mu: int
+
+    def feasible(self) -> bool:
+        return self.k * (self.k - self.lam - 1) == (self.n - self.k - 1) * self.mu
+
+
+def is_strongly_regular(graph: Graph) -> Optional[SrgParams]:
+    """Parameters of a primitive strongly regular graph, or None.
+
+    Primitive means both the graph and its complement are connected, which
+    excludes complete and complete multipartite cases.
+    """
+    n = graph.n
+    if not graph.is_connected() or not complement(graph).is_connected():
+        return None
+    degs = degree_sequence(graph)
+    k = degs[0]
+    if any(d != k for d in degs):
+        return None
+    lam = mu = None
+    for u in range(n):
+        bu = graph.bits(u)
+        for v in range(u + 1, n):
+            common = (bu & graph.bits(v)).bit_count()
+            if graph.has_edge(u, v):
+                if lam is None:
+                    lam = common
+                elif lam != common:
+                    return None
+            else:
+                if mu is None:
+                    mu = common
+                elif mu != common:
+                    return None
+    if lam is None or mu is None:
+        return None
+    params = SrgParams(n=n, k=k, lam=lam, mu=mu)
+    if not params.feasible():
+        raise CertificationError(f"measured parameters {params} violate the feasibility identity")
+    return params
+
+
 def brute_srg_params(graph: Graph):
     """(n,k,lam,mu) by direct common-neighbor counting, or None."""
     n = graph.n
-    if not graph.is_connected() or not graph.complement().is_connected():
+    if not graph.is_connected() or not complement(graph).is_connected():
         return None
     degs = {graph.degree(v) for v in range(n)}
     if len(degs) != 1:
@@ -330,6 +390,54 @@ def sympy_center_dim(basis_mats: list[np.ndarray]) -> int:
 # ---------------------------------------------------------------------------
 # permutations and the full Paley automorphism group
 # ---------------------------------------------------------------------------
+
+def perm_identity(n: int) -> Perm:
+    return Perm(tuple(range(n)))
+
+
+def perm_compose(p: Perm, q: Perm) -> Perm:
+    """The product p*q, with (p*q)(x) = p(q(x))."""
+    return Perm(tuple(p.images[i] for i in q.images))
+
+
+def perm_inverse(perm: Perm) -> Perm:
+    inv = [0] * perm.n
+    for i, j in enumerate(perm.images):
+        inv[j] = i
+    return Perm(tuple(inv))
+
+
+def is_trivial_group(group: PermGroup) -> bool:
+    return all(g.is_identity() for g in group.gens)
+
+
+def group_order(group: PermGroup) -> int:
+    """Group order by recursive orbit-stabilizer with coset representatives."""
+    return _order_recursive([g for g in group.gens if not g.is_identity()], group.n)
+
+
+def _order_recursive(gens: list[Perm], n: int) -> int:
+    if not gens:
+        return 1
+    moved = min(v for g in gens for v in range(n) if g(v) != v)
+    # transversal: orbit representatives as explicit permutations
+    reps: dict[int, Perm] = {moved: perm_identity(n)}
+    queue = deque([moved])
+    while queue:
+        u = queue.popleft()
+        for g in gens:
+            w = g(u)
+            if w not in reps:
+                reps[w] = perm_compose(g, reps[u])
+                queue.append(w)
+    schreier: dict[tuple[int, ...], Perm] = {}
+    for u, rep in reps.items():
+        for g in gens:
+            s = perm_compose(perm_inverse(reps[g(u)]), perm_compose(g, rep))
+            if not s.is_identity():
+                schreier.setdefault(s.images, s)
+    return len(reps) * _order_recursive(list(schreier.values()), n)
+
 
 def perm_cycles(perm: Perm) -> list[tuple[int, ...]]:
     """Nontrivial cycles, each rotated to start at its smallest point."""

@@ -3,6 +3,7 @@ import pathlib
 import random
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -188,6 +189,20 @@ class TestChainReport:
         given = search(gen_delta(5), 4)
         assert chain_with_algebras(gen_delta(5), 4, stab=given)[0].dims == rep.dims
         assert calls == [4, 4]
+
+    def test_searches_share_one_deadline(self, monkeypatch):
+        budgets = []
+        search = algebras.stabilizer
+
+        def slow(*args, **kwargs):
+            budgets.append(kwargs["time_budget"])
+            time.sleep(0.3)
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(algebras, "stabilizer", slow)
+        chain_with_algebras(gen_delta(5), 4, time_budget=1.0)
+        assert len(budgets) == 2
+        assert budgets[1] <= budgets[0] - 0.3
 
 
 def _orbit_representatives(graph):

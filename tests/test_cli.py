@@ -99,8 +99,12 @@ def test_bad_base_is_exit_1(capsys):
         code, _, err = run(capsys, "compute", "--graph", "Dh{", "--base", base)
         assert code == 1
         assert "--base" in err
+        code, _, err = run(capsys, "decompose", "--graph", "Dh{", "--base", base, "--level", "2")
+        assert code == 1
+        assert "--base" in err
     # a well-formed vertex that the graph does not have is an input error
     assert run(capsys, "compute", "--graph", "Dh{", "--base", "9")[0] == 2
+    assert run(capsys, "decompose", "--graph", "Dh{", "--base", "9", "--level", "2")[0] == 2
 
 
 def test_input_error_is_exit_2(capsys):
@@ -114,6 +118,14 @@ def test_scan_bad_line_names_it(capsys, tmp_path):
     corpus = tmp_path / "c.g6"
     corpus.write_bytes(b"Bw\nDh{\nZZZ\n")
     code, _, err = run(capsys, "scan", str(corpus), "--jobs", "1", "--out", str(tmp_path / "o"))
+    assert code == 2
+    assert "line 3" in err
+
+
+def test_compute_bad_file_line_names_it(capsys, tmp_path):
+    graphs = tmp_path / "c.g6"
+    graphs.write_bytes(b"Bw\nDh{\nZZZ\n")
+    code, _, err = run(capsys, "compute", "--graph", f"@{graphs}")
     assert code == 2
     assert "line 3" in err
 

@@ -1,11 +1,15 @@
 import json
+import pathlib
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corpusgen import connected_graphs
-from terw.graphs import gen_cycle, gen_delta, gen_paley, write_graph6
+from corpusgen import connected_graphs, corpus_lines
+from terw import algebras
+from terw.errors import CertificationError
+from terw.graphs import gen_cycle, gen_delta, gen_paley, gen_path, write_graph6
+from terw.groups import Perm, PermGroup
 from terw.pipeline import (
     ScanRecord,
     ScanStats,
@@ -52,6 +56,27 @@ class TestClassify:
         assert rec.dims[0] is not None and rec.dims[2] is not None
         assert rec.dims[1] is None and rec.dims[3] is None
         assert all(f is None for f in rec.eq_flags)
+
+    def test_subset_flags_are_certified(self, monkeypatch):
+        # swapping 2 and 3 is no automorphism of the path 0-1-2-3: its orbit
+        # {2, 3} meets two distance cells, so T2 is not certified inside T3
+        monkeypatch.setattr(algebras, "stabilizer", lambda *a, **k: PermGroup(4, (Perm((0, 1, 3, 2)),)))
+        with pytest.raises(CertificationError):
+            classify_graph(gen_path(4), bases=[0], levels=[2, 3])
+
+    def test_budget_miss_builds_each_level_once(self, monkeypatch):
+        closures = []
+        closure = algebras.algebra_closure
+
+        def counted(*args, **kwargs):
+            closures.append(1)
+            return closure(*args, **kwargs)
+
+        monkeypatch.setattr(algebras, "algebra_closure", counted)
+        (rec,) = classify_graph(gen_delta(6), bases=[4], node_budget=2)
+        assert rec.status == "stabilizer-budget-exceeded"
+        assert rec.dims[3] is None and rec.eq_flags[2] is None
+        assert len(closures) == 3
 
     def test_record_validation(self):
         rec = ScanRecord("Bw", 3, 0, 3, (1, 2, 2, 2, 2), (False, True, True, True), None, "ok")
@@ -128,6 +153,15 @@ class TestScan:
                 rep_rec = deduped[rep_of[rec.base]]
                 assert rec.dims == rep_rec.dims
                 assert rec.eq_flags == rep_rec.eq_flags
+
+
+def test_decomposition_scan_matches_reference_n5():
+    # levels equal to the one below take its type; the types must still be
+    # the ones the benchmark reference holds for every decomposition
+    reference = pathlib.Path(__file__).resolve().parents[1] / "bench" / "reference" / "decompose_n6.jsonl"
+    expected = [line for line in reference.read_bytes().splitlines(keepends=True) if json.loads(line)["n"] <= 5]
+    got = emit_report(scan_corpus(corpus_lines(5), jobs=1, decompose=True), "jsonl")
+    assert got.splitlines(keepends=True) == expected
 
 
 class TestEmit:
