@@ -28,6 +28,13 @@ O(n^2 |gens|) and without elimination:
     orbital cell.
 
 A failed certificate raises CertificationError.
+
+Containment also makes the chain incremental: T_{k+1} is the algebra
+generated by T_k and its own generators, so ``chain_with_algebras`` builds
+levels 1-3 by extending the basis of the level below
+(``algebra_closure(..., below=...)``).  A level equal to the one below
+costs one reduction and shares its basis object.  A seeded level is
+returned only after the certificate of its step has passed.
 """
 
 from __future__ import annotations
@@ -126,17 +133,27 @@ def build_T(
     stab: Optional[PermGroup] = None,
     node_budget: int = DEFAULT_NODE_BUDGET,
     time_budget: Optional[float] = None,
+    below: Optional[AlgebraBasis] = None,
 ) -> AlgebraBasis:
     """Exact basis of the level-0..4 algebra of (graph, base).
 
     Level 0 ignores the base vertex (the adjacency algebra does not depend
     on it) but records it.  Levels 3 and 4 need the base-vertex stabilizer:
     pass one in (e.g. an analytic Paley group) or it is found by search.
+
+    ``below`` is the level-(level-1) algebra of the same (graph, base).
+    Levels 1-3 then extend its basis instead of closing from the identity,
+    and return its very basis object when no generator is new; level 4
+    stays the orbital span.  Either way the containment of ``below`` is
+    certified (``_certify_step``) before the algebra is returned.  Without
+    ``below`` every level is built from scratch.
     """
     if level not in LEVELS:
         raise ValueError(f"level must be one of {LEVELS}")
     if not 0 <= base < graph.n:
         raise ValueError(f"base vertex {base} out of range")
+    if below is not None and (below.level, below.base, below.n) != (level - 1, base, graph.n):
+        raise ValueError(f"below must be the level-{level - 1} algebra of the same graph and base")
     if not graph.is_connected():
         raise ValueError("algebra builders need a connected graph")
     n = graph.n
@@ -170,14 +187,14 @@ def build_T(
         basis = SpanBasis(n)
         for m in orbital_matrices(orbs):
             basis.insert(m)
-        return AlgebraBasis(
-            level=4, base=base, n=n, basis=basis,
-            generators=tuple(f"A[orbital {i}]" for i in range(len(cells))), cells=cells,
-        )
-
-    basis = algebra_closure(gens, side=n)
-    _certify_unital_and_selfadjoint(basis, gens)
-    return AlgebraBasis(level=level, base=base, n=n, basis=basis, generators=names, cells=cells)
+        names = tuple(f"A[orbital {i}]" for i in range(len(cells)))
+    if level < 4:
+        basis = algebra_closure(gens, side=n, below=None if below is None else below.basis)
+        _certify_unital_and_selfadjoint(basis, gens)
+    alg = AlgebraBasis(level=level, base=base, n=n, basis=basis, generators=names, cells=cells)
+    if below is not None:
+        _certify_step(graph, below, alg)
+    return alg
 
 
 @dataclass(frozen=True)
@@ -227,23 +244,29 @@ def chain_with_algebras(
 ) -> tuple[ChainReport, list[Optional[AlgebraBasis]]]:
     """Dims of the requested levels, adjacency equality flags, and the algebras.
 
-    The levels are built in ascending order with ``build_T``.  Without a
-    given stabilizer, levels 3 and 4 each search it under the node budget
-    and what is left of time_budget, which covers the whole chain.  A
-    BudgetExceededError from a search ends the chain: that level and every
-    level above it stay None in the dims and the returned list, as do the
-    levels not requested.  For each pair of adjacent built levels,
-    containment is certified from partition facts (see the module
-    docstring) before its flag is set, and for each strict step the first
-    basis matrix of the larger algebra outside the smaller one is kept as a
+    The levels are built in ascending order with ``build_T``, each passed
+    the level below as ``below`` when that level was built: levels 1-3
+    extend its basis, so equal levels share one ``SpanBasis``, and level 4
+    stays the orbital span.  ``build_T`` certifies the containment of
+    ``below`` from partition facts (see the module docstring) before it
+    returns, so every flag between adjacent built levels is certified.
+    Without a given stabilizer, levels 3 and 4 each search it under the
+    node budget and what is left of time_budget, which covers the whole
+    chain.  A BudgetExceededError from a search ends the chain: that level
+    and every level above it stay None in the dims and the returned list,
+    as do the levels not requested.  For each strict step the first basis
+    matrix of the larger algebra outside the smaller one is kept as a
     witness.
     """
     deadline = None if time_budget is None else time.monotonic() + time_budget
     algs: list[Optional[AlgebraBasis]] = [None] * len(LEVELS)
     for lvl in sorted(set(levels)):
         remaining = None if deadline is None else max(deadline - time.monotonic(), 0.01)
+        below = algs[lvl - 1] if lvl > 0 else None
         try:
-            algs[lvl] = build_T(lvl, graph, base, stab=stab, node_budget=node_budget, time_budget=remaining)
+            algs[lvl] = build_T(
+                lvl, graph, base, stab=stab, node_budget=node_budget, time_budget=remaining, below=below
+            )
         except BudgetExceededError:
             break
     flags: list[Optional[bool]] = [None] * 4
@@ -252,7 +275,6 @@ def chain_with_algebras(
         small, big = algs[lvl], algs[lvl + 1]
         if small is None or big is None:
             continue
-        _certify_step(graph, small, big)
         flags[lvl] = small.dim == big.dim
         if not flags[lvl]:
             outside = np.any(small.basis.reduce_block(big.basis.rows), axis=1)

@@ -14,6 +14,7 @@ count.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 from typing import Optional
 
@@ -75,9 +76,27 @@ def _parse_base(spec: str) -> Optional[int]:
     return None if spec == "all" else _parse_vertex(spec)
 
 
+def _positive(cast):
+    """argparse type for a budget: a cast value > 0; anything else is a usage error."""
+
+    def parse(spec: str):
+        try:
+            value = cast(spec)
+        except ValueError:
+            value = None
+        if value is None or not value > 0:
+            raise argparse.ArgumentTypeError(f"bad budget {spec!r}; expected a {cast.__name__} > 0")
+        return value
+
+    return parse
+
+
 def _load_graphs(spec: str) -> list[tuple[str, Graph]]:
-    """--graph argument: a literal graph6 value, or @file with one per line."""
-    if not spec.startswith("@"):
+    """--graph argument: a literal graph6 value, or @file with one per line.
+
+    A bare '@' is the graph6 of the one-vertex graph, not a file.
+    """
+    if spec == "@" or not spec.startswith("@"):
         return [(spec, parse_graph6(spec))]
     out = []
     with open(spec[1:], "rb") as fh:
@@ -113,8 +132,8 @@ def build_parser() -> _Parser:
     s.add_argument("--filter", choices=FILTERS, default="all")
     s.add_argument("--jobs", type=int, default=None)
     s.add_argument("--out", default=None, help="output file (default stdout)")
-    s.add_argument("--node-budget", type=int, default=None, help="stabilizer search node cap")
-    s.add_argument("--time-budget", type=float, default=None, help="per-graph seconds cap")
+    s.add_argument("--node-budget", type=_positive(int), default=None, help="stabilizer search node cap")
+    s.add_argument("--time-budget", type=_positive(float), default=None, help="per-graph seconds cap")
 
     d = sub.add_parser("decompose", help="Wedderburn type of one algebra")
     d.add_argument("--graph", required=True, help="graph6 value")
@@ -174,12 +193,12 @@ def _cmd_scan(args) -> int:
     records = scan_corpus(
         args.corpus, filter=args.filter, jobs=resolve_jobs(args.jobs), stats=stats, **extra
     )
-    payload = emit_report(records, "jsonl")
-    if args.out:
-        with open(args.out, "wb") as fh:
-            fh.write(payload)
-    else:
-        sys.stdout.buffer.write(payload)
+    # each record is written as the scan yields it, so a bad line or a crash
+    # keeps the graphs already classified
+    with open(args.out, "wb") if args.out else contextlib.nullcontext(sys.stdout.buffer) as out:
+        for rec in records:
+            out.write(emit_report([rec], "jsonl"))
+            out.flush()
     print(
         f"scanned {stats.graphs} graphs, skipped {stats.skipped_disconnected} disconnected, "
         f"emitted {stats.records} records",

@@ -18,7 +18,11 @@ One kernel does all elimination, a block of rows at a time:
     per new pivot, the same step against the one-row basis of that pivot.
 
 ``reduce``, ``contains`` and ``insert`` are their one-row case, and
-``algebra_closure`` feeds them one layer of products at a time.
+``algebra_closure`` feeds them one layer of products at a time.  The
+closure can start from ``below``, the basis of a unital algebra that lies
+inside the result (the level below in a chain of algebras); then only the
+generators outside it are multiplied by its rows, and when there are none
+the result is ``below`` itself.
 """
 
 from __future__ import annotations
@@ -235,30 +239,41 @@ class SpanBasis(RowSpace):
         return f"SpanBasis(side={self.side}, dim={self.dim})"
 
 
-def algebra_closure(generators: Sequence, side: int | None = None) -> SpanBasis:
+def algebra_closure(generators: Sequence, side: int | None = None, below: SpanBasis | None = None) -> SpanBasis:
     """Basis of the smallest unital algebra containing the generators.
 
-    Seeds the span with the identity and the generators, then left-multiplies
-    the newest layer of basis rows by every generator at once, adding the
-    products as one block, until a layer adds nothing.  Every word in the
-    generators lies in the span of the layers, so the result is
-    multiplicatively closed; the echelon normal form makes it independent
-    of the order of work.
+    The span starts from ``below``, the basis of a unital algebra that must
+    lie inside the result (by default the span of I).  The generators are
+    reduced against it once, and those outside it are multiplied by its
+    rows; these products include the generators, as ``below`` holds I.
+    Then every generator left-multiplies the newest layer of rows at once,
+    the products added as one block, until a layer adds nothing.  The span
+    holds I and is closed under left multiplication by the generators, so
+    it holds every word; the echelon normal form makes the basis
+    independent of the seed and the order of work.  When no generator lies
+    outside ``below``, the result is ``below`` itself.
     """
     gens = [as_int_matrix(g, side) for g in generators]
     if side is None:
-        if not gens:
+        if below is None and not gens:
             raise ValueError("need side when no generators are given")
-        side = gens[0].shape[0]
-    for g in gens:
-        if g.shape[0] != side:
-            raise ValueError("generators must share one matrix size")
-    basis = SpanBasis(side)
-    seeds = [np.eye(side, dtype=np.int64)] + gens
-    layer = basis.insert_block(np.stack(seeds).reshape(len(seeds), side * side))
+        side = below.side if below is not None else gens[0].shape[0]
+    if any(g.shape[0] != side for g in gens):
+        raise ValueError("generators must share one matrix size")
+    if below is None:
+        below = SpanBasis(side)
+        below.insert_block(np.eye(side, dtype=np.int64).reshape(1, side * side))
     if not gens:
-        return basis
-    g_stack = np.stack(gens)[:, None]
+        return below
+    g_stack = np.stack(gens)
+    new = np.any(below.reduce_block(g_stack.reshape(len(gens), side * side)), axis=1)
+    if not np.any(new):
+        return below
+    basis = SpanBasis(side)
+    basis.rows, basis._piv = below.rows, below._piv
+    prods = exact_matmul(g_stack[new][:, None], below.rows.reshape(1, -1, side, side))
+    layer = basis.insert_block(prods.reshape(-1, side * side))
+    g_stack = g_stack[:, None]
     while len(layer):
         prods = exact_matmul(g_stack, layer.reshape(1, -1, side, side))
         layer = basis.insert_block(prods.reshape(-1, side * side))

@@ -13,6 +13,7 @@ from terw import algebras
 from terw.graphs import Graph, gen_cycle, gen_delta, gen_paley, gen_path, gen_star
 from terw.groups import (
     OrbitalPartition,
+    OrbitPartition,
     Perm,
     PermGroup,
     automorphism_group,
@@ -279,6 +280,78 @@ class TestClosureAgainstRowwiseOracle:
         _assert_same_basis(basis, rowwise_closure(gens), "object batch")
 
 
+class TestSeededChain:
+    """Levels 1-3 of the chain extend the level below; each equals build_T
+    from scratch row for row, and equal levels share one basis object."""
+
+    @staticmethod
+    def _check(graph, base, levels=algebras.LEVELS, stab=None):
+        report, algs = chain_with_algebras(graph, base, levels=levels, stab=stab)
+        built = {}
+        for lvl in levels:
+            oracle = build_T(lvl, graph, base, stab=stab)
+            alg, label = algs[lvl], (graph.n, base, lvl)
+            assert alg.basis.pivots == oracle.basis.pivots, label
+            assert alg.basis.rows.dtype == oracle.basis.rows.dtype, label
+            assert alg.basis.rows.tolist() == oracle.basis.rows.tolist(), label
+            assert (alg.generators, alg.cells) == (oracle.generators, oracle.cells), label
+            built[lvl] = oracle.basis
+        witnesses = {}
+        for lvl in range(4):
+            if lvl in built and lvl + 1 in built and built[lvl].dim < built[lvl + 1].dim:
+                rows = built[lvl + 1].rows
+                witnesses[lvl] = rows[int(np.argmax(np.any(built[lvl].reduce_block(rows), axis=1)))]
+        assert sorted(report.witnesses) == sorted(witnesses), (graph.n, base)
+        for lvl, w in witnesses.items():
+            assert report.witnesses[lvl].reshape(-1).tolist() == w.tolist(), (graph.n, base, lvl)
+        for lvl in range(1, 4):
+            if algs[lvl - 1] is not None and algs[lvl] is not None:
+                assert (algs[lvl].basis is algs[lvl - 1].basis) == report.equal_next[lvl - 1]
+        return algs
+
+    def test_connected_graphs_up_to_6(self, corpus):
+        for n in range(1, 7):
+            for g in corpus[n]:
+                for base in _orbit_representatives(g):
+                    self._check(g, base)
+
+    @pytest.mark.parametrize("q", [13, 29])
+    def test_paley(self, q):
+        g, pc = gen_paley(q)
+        self._check(g, 0, stab=paley_stabilizer_generators(pc))
+
+    @pytest.mark.parametrize("levels", [(1, 3), (2, 3), (0, 2)])
+    def test_subset_levels(self, levels):
+        for graph, base in [(gen_delta(5), 4), (gen_delta(6), 4), (gen_path(5), 1), (gen_star(5), 1)]:
+            self._check(graph, base, levels=levels)
+
+    def test_equal_levels_share_one_basis(self):
+        g, pc = gen_paley(13)
+        algs = self._check(g, 0, stab=paley_stabilizer_generators(pc))
+        assert algs[2].dim == algs[3].dim == 21
+        assert algs[2].basis is algs[3].basis
+        assert algs[1].basis is not algs[2].basis
+        algs = self._check(gen_cycle(3), 0)
+        assert algs[1].basis is algs[2].basis is algs[3].basis
+
+    def test_below_must_be_the_level_below(self):
+        g = gen_delta(5)
+        t1 = build_T(1, g, 4)
+        for level, base in [(3, 4), (2, 3), (1, 4), (0, 4)]:
+            with pytest.raises(ValueError):
+                build_T(level, g, base, below=t1)
+
+    @pytest.mark.parametrize("levels", [algebras.LEVELS, (2, 3)])
+    def test_seeded_level_is_certified(self, monkeypatch, levels):
+        # Delta(5) based at 4 has distance cells {4} and {0, 1, 2, 3}: one
+        # fake orbit meets both, so T2 need not lie in the level-3 closure
+        monkeypatch.setattr(
+            algebras, "vertex_orbits", lambda group, base=None: OrbitPartition(((0, 4), (1, 2, 3)))
+        )
+        with pytest.raises(CertificationError, match="meets two distance cells"):
+            chain_with_algebras(gen_delta(5), 4, levels=levels)
+
+
 # partitions of the pairs of 3 points that are not the orbitals of the group
 # swapping 1 and 2, each breaking one fact of the level-4 certificate
 _TAMPERED_ORBITALS = {
@@ -297,10 +370,11 @@ def test_level4_certificate_rejects_tampered_orbitals(monkeypatch, tamper):
 
 
 _UNDER_O = """
+from terw import algebras
 from terw.algebras import chain_with_algebras
 from terw.errors import CertificationError
 from terw.graphs import gen_cycle, gen_delta
-from terw.groups import Perm, PermGroup
+from terw.groups import OrbitPartition, Perm, PermGroup
 from terw.pipeline import ScanRecord
 
 
@@ -312,10 +386,22 @@ def raises(fn):
     return False
 
 
+def with_bad_orbits(levels):
+    # an orbit meeting both distance cells of Delta(5) based at 4
+    orbits = algebras.vertex_orbits
+    algebras.vertex_orbits = lambda group, base=None: OrbitPartition(((0, 4), (1, 2, 3)))
+    try:
+        chain_with_algebras(gen_delta(5), 4, levels=levels)
+    finally:
+        algebras.vertex_orbits = orbits
+
+
 cases = [
     lambda: ScanRecord("Bw", 3, 0, 3, (1, 2, 2, 2, 2), (True, True, True, True), None, "ok").validate(),
     lambda: chain_with_algebras(gen_delta(5), 4, stab=PermGroup(5, (Perm((1, 0, 2, 3, 4)),))),
     lambda: chain_with_algebras(gen_cycle(5), 0, stab=PermGroup(5, (Perm((1, 2, 3, 4, 0)),))),
+    lambda: with_bad_orbits(algebras.LEVELS),
+    lambda: with_bad_orbits((2, 3)),
 ]
 print(__debug__, [raises(case) for case in cases])
 """
@@ -327,7 +413,7 @@ def test_checks_run_under_python_O():
         [sys.executable, "-O", "-c", _UNDER_O], env=env, capture_output=True, text=True, timeout=120
     )
     assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["False", "[True,", "True,", "True]"]
+    assert out.stdout.split() == ["False", "[True,", "True,", "True,", "True,", "True]"]
 
 
 class TestCorner:

@@ -107,6 +107,30 @@ def test_bad_base_is_exit_1(capsys):
     assert run(capsys, "decompose", "--graph", "Dh{", "--base", "9", "--level", "2")[0] == 2
 
 
+def test_bad_budget_is_exit_1(capsys, tmp_path):
+    corpus = tmp_path / "c.g6"
+    corpus.write_bytes(b"Bw\n")
+    for flag, value in [
+        ("--time-budget", "-1"), ("--time-budget", "0"), ("--time-budget", "x"),
+        ("--node-budget", "0"), ("--node-budget", "-5"), ("--node-budget", "1.5"),
+    ]:
+        code, _, err = run(capsys, "scan", str(corpus), flag, value)
+        assert code == 1, (flag, value)
+        assert flag in err
+    assert run(capsys, "scan", str(corpus), "--time-budget", "0.5", "--node-budget", "100")[0] == 0
+
+
+def test_compute_one_vertex_graph(capsys, tmp_path):
+    # '@' alone is the graph6 of the one-vertex graph; '@path' is a file
+    code, out, _ = run(capsys, "compute", "--graph", "@", "--format", "jsonl")
+    assert code == 0
+    (row,) = [json.loads(line) for line in out.splitlines()]
+    assert row["graph6"] == "@" and row["dims"] == [1, 1, 1, 1, 1]
+    p = tmp_path / "one.g6"
+    p.write_bytes(b"@\n")
+    assert run(capsys, "compute", "--graph", f"@{p}", "--format", "jsonl")[1] == out
+
+
 def test_input_error_is_exit_2(capsys):
     assert run(capsys, "compute", "--graph", "!!notgraph6!!")[0] == 2
     assert run(capsys, "scan", "/nonexistent/file.g6")[0] == 2
@@ -120,6 +144,24 @@ def test_scan_bad_line_names_it(capsys, tmp_path):
     code, _, err = run(capsys, "scan", str(corpus), "--jobs", "1", "--out", str(tmp_path / "o"))
     assert code == 2
     assert "line 3" in err
+    # the records of the two good lines are kept, as a scan of them alone writes them
+    good = tmp_path / "good.g6"
+    good.write_bytes(b"Bw\nDh{\n")
+    assert run(capsys, "scan", str(good), "--jobs", "1", "--out", str(tmp_path / "good"))[0] == 0
+    kept = (tmp_path / "o").read_bytes()
+    assert kept == (tmp_path / "good").read_bytes()
+    assert [json.loads(line)["graph6"] for line in kept.splitlines()] == ["Bw", "Dh{", "Dh{", "Dh{"]
+
+
+def test_streamed_scan_output_is_the_report(capsys, tmp_path):
+    from terw.pipeline import emit_report, scan_corpus
+
+    lines = [write_graph6(g) for g in (gen_cycle(5), gen_delta(5), gen_delta(6))]
+    corpus = tmp_path / "c.g6"
+    corpus.write_bytes(b"\n".join(lines) + b"\n")
+    code, out, _ = run(capsys, "scan", str(corpus), "--jobs", "1")
+    assert code == 0
+    assert out.encode() == emit_report(scan_corpus(lines, jobs=1), "jsonl")
 
 
 def test_compute_bad_file_line_names_it(capsys, tmp_path):

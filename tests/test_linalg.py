@@ -128,6 +128,50 @@ def test_reduction_is_deterministic():
         assert np.array_equal(r1, r2)
 
 
+@st.composite
+def _nested_generators(draw):
+    """Symmetric integer generators G and G' = G + extra, entries 0/1 or up
+    to 2**40 in size, so that some closures need object-dtype rows."""
+    n = draw(st.integers(1, 4))
+    entry = st.one_of(st.integers(0, 1), st.integers(-(2**40), 2**40))
+
+    def sym():
+        m = np.array(draw(st.lists(entry, min_size=n * n, max_size=n * n)), dtype=np.int64).reshape(n, n)
+        return np.triu(m) + np.triu(m, 1).T
+
+    small = [sym() for _ in range(draw(st.integers(1, 2)))]
+    extra = [sym() for _ in range(draw(st.integers(0, 2)))]
+    return small, small + extra
+
+
+@settings(max_examples=60, deadline=None)
+@given(_nested_generators())
+# a generic 3x3 symmetric matrix: the powers of A reach about 2**80
+@example(([np.array([[2**40, 3, 1], [3, -(2**39), 7], [1, 7, 5]], dtype=np.int64)],) * 2)
+def test_seeded_closure_matches_closure_from_identity(case):
+    small, big = case
+    below = algebra_closure(small)
+    seeded = algebra_closure(big, below=below)
+    oracle = algebra_closure(big)
+    assert seeded.pivots == oracle.pivots
+    assert seeded.rows.dtype == oracle.rows.dtype
+    assert seeded.rows.tolist() == oracle.rows.tolist()
+    # no generator outside the seed: the seed itself comes back
+    assert (seeded is below) == (seeded.dim == below.dim)
+
+
+def test_seeded_closure_of_object_rows():
+    a = np.array([[2**40, 3, 1], [3, -(2**39), 7], [1, 7, 5]], dtype=np.int64)
+    below = algebra_closure([a])
+    assert below.rows.dtype == object
+    e0 = np.diag([1, 0, 0]).astype(np.int64)
+    seeded = algebra_closure([a, e0], below=below)
+    assert seeded.dim == 9 and seeded.rows.dtype == np.int64
+    assert seeded.rows.tolist() == algebra_closure([a, e0]).rows.tolist()
+    with pytest.raises(ValueError):
+        algebra_closure([e0], below=SpanBasis(4))
+
+
 def test_big_integer_entries_stay_exact():
     big = 10**25
     b = SpanBasis(2)
