@@ -73,6 +73,9 @@ class AlgebraBasis:
     n: int
     basis: SpanBasis
     generators: tuple[str, ...]
+    # the (k, n, n) stack of a generating set of the algebra: the named
+    # generators at levels 0-3, the basis itself at level 4
+    generator_matrices: np.ndarray
     # distance cells (level 2), orbit cells (level 3), or orbital cells as
     # pair codes x*n+y (level 4)
     cells: Optional[tuple[tuple[int, ...], ...]] = None
@@ -187,11 +190,16 @@ def build_T(
         basis = SpanBasis(n)
         for m in orbital_matrices(orbs):
             basis.insert(m)
+        # the basis rows are the orbital matrices (disjoint 0/1 cells), and a
+        # basis generates its own span
+        gens = basis.rows.reshape(-1, n, n)
         names = tuple(f"A[orbital {i}]" for i in range(len(cells)))
     if level < 4:
         basis = algebra_closure(gens, side=n, below=None if below is None else below.basis)
         _certify_unital_and_selfadjoint(basis, gens)
-    alg = AlgebraBasis(level=level, base=base, n=n, basis=basis, generators=names, cells=cells)
+    alg = AlgebraBasis(
+        level=level, base=base, n=n, basis=basis, generators=names, generator_matrices=np.asarray(gens), cells=cells
+    )
     if below is not None:
         _certify_step(graph, below, alg)
     return alg

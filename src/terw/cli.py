@@ -8,13 +8,14 @@ Subcommands:
 
 Exit codes: 0 success, 1 usage error, 2 input error, 3 budget exceeded.
 The worker count for scans comes from --jobs, else TERW_JOBS, else the CPU
-count.
+count; a --jobs or TERW_JOBS that is not an integer > 0 is a usage error.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import os
 import sys
 from typing import Optional
 
@@ -77,7 +78,8 @@ def _parse_base(spec: str) -> Optional[int]:
 
 
 def _positive(cast):
-    """argparse type for a budget: a cast value > 0; anything else is a usage error."""
+    """argparse type for a budget or a worker count: a cast value > 0;
+    anything else is a usage error."""
 
     def parse(spec: str):
         try:
@@ -85,7 +87,7 @@ def _positive(cast):
         except ValueError:
             value = None
         if value is None or not value > 0:
-            raise argparse.ArgumentTypeError(f"bad budget {spec!r}; expected a {cast.__name__} > 0")
+            raise argparse.ArgumentTypeError(f"bad value {spec!r}; expected {cast.__name__} > 0")
         return value
 
     return parse
@@ -130,7 +132,8 @@ def build_parser() -> _Parser:
     s = sub.add_parser("scan", help="classify every graph in a graph6 file")
     s.add_argument("corpus", help="graph6 file, one graph per line")
     s.add_argument("--filter", choices=FILTERS, default="all")
-    s.add_argument("--jobs", type=int, default=None)
+    s.add_argument("--jobs", type=_positive(int), default=None,
+                   help="worker processes (default TERW_JOBS, else the CPU count)")
     s.add_argument("--out", default=None, help="output file (default stdout)")
     s.add_argument("--node-budget", type=_positive(int), default=None, help="stabilizer search node cap")
     s.add_argument("--time-budget", type=_positive(float), default=None, help="per-graph seconds cap")
@@ -222,6 +225,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.command == "scan" and args.jobs is None and os.environ.get("TERW_JOBS"):
+            try:
+                args.jobs = _positive(int)(os.environ["TERW_JOBS"])
+            except argparse.ArgumentTypeError as exc:
+                parser.error(f"TERW_JOBS: {exc}")
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

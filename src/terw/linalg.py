@@ -23,6 +23,11 @@ closure can start from ``below``, the basis of a unital algebra that lies
 inside the result (the level below in a chain of algebras); then only the
 generators outside it are multiplied by its rows, and when there are none
 the result is ``below`` itself.
+
+``center_basis`` imposes commutation with a generating set of the algebra
+only, and reads each commutator at the d pivot entries of the basis: a
+commutator of two elements of a closed span lies in the span, and an
+element of the span is zero iff its pivot entries are.
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ from typing import Sequence
 import numpy as np
 
 _INT64_LIMIT = 2**62
+_INT64_MIN = np.iinfo(np.int64).min
 # float64 bounds round; this leaves a factor of four below int64 overflow
 _BOUND_LIMIT = 2**61
 
@@ -129,9 +135,12 @@ class RowSpace:
             raise ValueError("vector length does not match row-space width")
         if b.dtype == object:
             return b
-        if not np.issubdtype(b.dtype, np.integer):
-            raise TypeError("rows must be integer vectors")
-        return b.astype(np.int64, copy=False)
+        if b.dtype != np.int64:
+            if not np.issubdtype(b.dtype, np.integer):
+                raise TypeError("rows must be integer vectors")
+            b = b.astype(np.int64)
+        # the bounds handle any other entry, but int64 cannot negate -2**63
+        return b.astype(object) if b.size and b.min() == _INT64_MIN else b
 
     def reduce_block(self, block) -> np.ndarray:
         """Residuals of the rows of a block against the basis, in one step.
@@ -292,34 +301,60 @@ def _left_nullspace_combos(rows: np.ndarray) -> np.ndarray:
     return aug.rows[aug._piv >= width, width:]
 
 
-def center_basis(basis: SpanBasis) -> SpanBasis:
+def _pivot_commutators(cands: np.ndarray, g: np.ndarray, r: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Exact entries of z g - g z at the pivot pairs (r[p], c[p]), one row per z."""
+    n = g.shape[0]
+    if cands.dtype == object or g.dtype == object or n * _maxabs(cands) * _maxabs(g) >= _INT64_LIMIT:
+        cands, g = _as_object(cands), _as_object(g)
+    zg = np.einsum("mpk,kp->mp", cands[:, r, :], g[:, c])
+    gz = np.einsum("pk,mkp->mp", g[r, :], cands[:, :, c])
+    return _fit(zg - gz)
+
+
+def center_basis(basis: SpanBasis, gens: Sequence | None = None) -> SpanBasis:
     """Exact basis of the center of a multiplicatively closed span.
 
-    The commuting conditions are imposed one basis element at a time via
-    kernel intersections; elements whose conditions are already satisfied
-    cost only an exact verification.  Candidates therefore commute with
-    every basis element on return.  A closure spot-check guards against
-    spans that are not algebras.
+    The center is the set of elements that commute with a generating set
+    ``gens`` of the algebra, which must lie in the span; the caller vouches
+    for both, as ``AlgebraBasis.generator_matrices`` does.  Without
+    ``gens`` every product of two basis elements is first reduced against
+    the span in one block (ValueError if one is outside), and the basis
+    generates.
+
+    Each [z, g] lies in the closed span, so it is read at the d pivot
+    entries only.  A diagonal generator D gives [b, D] = (D_cc - D_rr) b for
+    the basis row b with pivot (r, c), so diagonal generators only select
+    basis rows; each other generator costs one elimination of the
+    candidates' nonzero readouts.
     """
-    n = basis.side
-    mats = basis.rows.reshape(-1, n, n)
-    d = len(mats)
+    n, d = basis.side, basis.dim
     if not d:
         raise ValueError("empty basis has no center")
-    pairs = sorted({(0, 0), (0, d - 1), (d - 1, 0), (d // 2, d // 2)})
-    left, right = (np.array(ix) for ix in zip(*pairs))
-    if np.any(basis.reduce_block(exact_matmul(mats[left], mats[right]).reshape(len(pairs), -1))):
-        raise ValueError("input span is not multiplicatively closed")
-    cands = mats
-    for b in mats:
-        if not len(cands):
-            break
-        comms = exact_matmul(cands, b) - exact_matmul(b, cands)
-        if not np.any(comms):
+    mats = basis.rows.reshape(d, n, n)
+    if gens is None:
+        prods = exact_matmul(mats[:, None], mats[None]).reshape(d * d, n * n)
+        if np.any(basis.reduce_block(prods)):
+            raise ValueError("input span is not multiplicatively closed")
+        gens = mats
+    gens = [as_int_matrix(g, n) for g in gens]
+    r, c = np.divmod(basis._piv, n)
+    diagonal = [np.count_nonzero(g) == np.count_nonzero(np.diagonal(g)) for g in gens]
+    keep = np.ones(d, dtype=bool)
+    for g, diag in zip(gens, diagonal):
+        if diag:
+            keep &= np.diagonal(g)[r] == np.diagonal(g)[c]
+    cands = mats[keep]
+    for g, diag in zip(gens, diagonal):
+        if diag or not len(cands):
             continue
-        combos = _left_nullspace_combos(comms.reshape(len(cands), n * n))
-        cands = exact_matmul(combos, cands.reshape(len(cands), n * n))
-        cands = _primitive_rows(cands).reshape(-1, n, n)
+        read = _pivot_commutators(cands, g, r, c)
+        hit = np.any(read != 0, axis=1)
+        if not np.any(hit):
+            continue
+        read = read[hit]
+        combos = _left_nullspace_combos(read[:, np.any(read != 0, axis=0)])
+        moved = _primitive_rows(exact_matmul(combos, cands[hit].reshape(-1, n * n)))
+        cands = _fit(np.concatenate([cands[~hit], moved.reshape(-1, n, n)]))
     center = SpanBasis(n)
     center.insert_block(cands.reshape(len(cands), n * n))
     return center

@@ -155,13 +155,17 @@ def _matches_filter(rec: ScanRecord, filt: str) -> bool:
 
 def _scan_line(
     payload: tuple[int, bytes], *, decompose: bool, node_budget: int, time_budget: Optional[float]
-) -> tuple[int, Optional[list[ScanRecord]]]:
-    """Classify one corpus line; None marks a skipped disconnected graph."""
+) -> tuple[int, list[ScanRecord] | Graph6Error | None]:
+    """Classify one corpus line; None marks a skipped disconnected graph.
+
+    A malformed line comes back as its Graph6Error, not raised: in a pool a
+    raise would fail every line of the worker's chunk.
+    """
     lineno, line = payload
     try:
         graph = parse_graph6(line)
     except Graph6Error as exc:
-        raise Graph6Error(f"line {lineno}: {exc}") from None
+        return lineno, Graph6Error(f"line {lineno}: {exc}")
     if not graph.is_connected():
         return lineno, None
     records = classify_graph(
@@ -186,7 +190,8 @@ def scan_corpus(
     source is a path or an iterable of lines.  Output order is input order
     then base representative, independent of the worker count.  Disconnected
     graphs are skipped and counted in stats; a malformed line aborts the scan
-    with a Graph6Error that names its line number.
+    with a Graph6Error that names its line number, after the records of every
+    line before it, at any worker count.
     """
     if filter not in FILTERS:
         raise ValueError(f"filter must be one of {FILTERS}")
@@ -211,6 +216,8 @@ def scan_corpus(
 
 def _emit_scan(results, filt, stats) -> Iterator[ScanRecord]:
     for _, records in results:
+        if isinstance(records, Graph6Error):
+            raise records
         stats.graphs += 1
         if records is None:
             stats.skipped_disconnected += 1

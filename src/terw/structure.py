@@ -2,14 +2,16 @@
 
 The pipeline is hybrid: everything countable (dimension, center, ranks of
 integer row spaces, memberships) is exact, while the spectral splitting is
-floating point.  The input must be closed under transpose (checked
-exactly): then its central idempotents are Hermitian, so a Hermitian
-central element splits the algebra by a symmetric eigensolver with
-orthogonal projectors onto its eigenspaces.  Every floating-point
-conclusion must reconcile with an exact integer identity (block count =
-center dimension, sum of squared block sizes = algebra dimension, weighted
-block sizes = matrix side) before a result is reported; any mismatch raises
-instead of returning silently.
+floating point.  The center of an ``AlgebraBasis`` comes from the
+generator matrices it was built from; a bare ``SpanBasis`` is first
+checked to be closed under products, and then its basis generates.  The
+input must be closed under transpose (checked exactly): then its central
+idempotents are Hermitian, so a Hermitian central element splits the
+algebra by a symmetric eigensolver with orthogonal projectors onto its
+eigenspaces.  Every floating-point conclusion must reconcile with an exact
+integer identity (block count = center dimension, sum of squared block
+sizes = algebra dimension, weighted block sizes = matrix side) before a
+result is reported; any mismatch raises instead of returning silently.
 """
 
 from __future__ import annotations
@@ -109,12 +111,14 @@ def wedderburn_decompose(
     """Certified block decomposition of a transpose-closed algebra basis.
 
     Steps: exact transpose-closure check (ValueError otherwise); exact
-    center dimension s; central element z from seeded integer coefficients;
-    eigh of the Hermitian central element z + z^T + i(z - z^T) (the real
-    z + z^T when z is symmetric), whose eigenvalues must fall into exactly
-    s runs (retrying with fresh seeds a few times); the orthogonal projector
-    V V^H onto each run's eigenvectors V; block sizes from compressed
-    numeric ranks, multiplicities from run lengths.  All counts must satisfy
+    center of dimension s (``center_basis`` with the algebra's generator
+    matrices, or, for a bare span, after an exact closure check); central
+    element z from seeded integer coefficients; eigh of the Hermitian
+    central element z + z^T + i(z - z^T) (the real z + z^T when z is
+    symmetric), whose eigenvalues must fall into exactly s runs (retrying
+    with fresh seeds a few times); the orthogonal projector V V^H onto each
+    run's eigenvectors V; block sizes from compressed numeric ranks,
+    multiplicities from run lengths.  All counts must satisfy
     the exact invariants or the call raises DecompositionError.
     """
     basis = _as_span(algebra)
@@ -125,7 +129,8 @@ def wedderburn_decompose(
     transpose = np.arange(n * n).reshape(n, n).T.reshape(-1)
     if np.any(basis.reduce_block(basis.rows[:, transpose])):
         raise ValueError("the span is not closed under transpose")
-    center = center_basis(basis)
+    gens = algebra.generator_matrices if isinstance(algebra, AlgebraBasis) else None
+    center = center_basis(basis, gens)
     s = center.dim
     if s == 0:
         raise DecompositionError("center has dimension zero; input is not a unital algebra")

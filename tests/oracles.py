@@ -12,7 +12,9 @@ graph invariants that only the tests compare against: the exact
 characteristic polynomial and spectrum summary, distance regularity, strong
 regularity with its parameters, the complement and degree sequence, the
 full Paley automorphism group, permutation products, inverses and cycles,
-and group orders by orbit-stabilizer recursion.
+and group orders by orbit-stabilizer recursion, and the center of an
+algebra from full commutators with every basis element, where the package
+reads commutators with a generating set at the pivot entries.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import sympy
 from terw.errors import CertificationError
 from terw.graphs import Graph, PaleyConstruction
 from terw.groups import Perm, PermGroup, is_automorphism, paley_stabilizer_generators
-from terw.linalg import SpanBasis, as_int_matrix, exact_matmul
+from terw.linalg import RowSpace, SpanBasis, as_int_matrix, exact_matmul
 
 # absolute gap below which two numerically computed adjacency eigenvalues
 # are treated as equal; misclustering is caught by the exact distinct count
@@ -372,6 +374,35 @@ def _poly_at_matrix(poly: sympy.Poly, z: sympy.Matrix, n: int) -> sympy.Matrix:
     for c in poly.all_coeffs():
         out = out * z + c * sympy.eye(n)
     return out
+
+
+def commutator_center(basis: SpanBasis) -> SpanBasis:
+    """Center of a closed span by full commutators with every basis element.
+
+    Commutation is imposed one basis element at a time: the candidates'
+    full n-by-n commutators are row-reduced beside an identity block, whose
+    rows under a vanished left part give the null combinations.  The span
+    must be multiplicatively closed; this is not checked.
+    """
+    n = basis.side
+    mats = basis.rows.reshape(-1, n, n)
+    cands = mats
+    for b in mats:
+        if not len(cands):
+            break
+        comms = (exact_matmul(cands, b) - exact_matmul(b, cands)).reshape(len(cands), n * n)
+        if not np.any(comms):
+            continue
+        aug = RowSpace(n * n + len(cands))
+        aug.insert_block(np.hstack([comms, np.eye(len(cands), dtype=np.int64)]))
+        combos = aug.rows[np.array(aug.pivots, dtype=np.intp) >= n * n, n * n :]
+        cands = exact_matmul(combos, cands.reshape(len(cands), n * n))
+        content = np.gcd.reduce(cands, axis=1, initial=0)
+        content[content == 0] = 1
+        cands = (cands // content[:, None]).reshape(-1, n, n)
+    center = SpanBasis(n)
+    center.insert_block(cands.reshape(len(cands), n * n))
+    return center
 
 
 def sympy_center_dim(basis_mats: list[np.ndarray]) -> int:

@@ -375,15 +375,24 @@ from terw.algebras import chain_with_algebras
 from terw.errors import CertificationError
 from terw.graphs import gen_cycle, gen_delta
 from terw.groups import OrbitPartition, Perm, PermGroup
+from terw.linalg import SpanBasis, center_basis
 from terw.pipeline import ScanRecord
 
 
-def raises(fn):
+def raises(fn, exc=CertificationError):
     try:
         fn()
-    except CertificationError:
+    except exc:
         return True
     return False
+
+
+def unclosed_center():
+    # I, E01, E12 passes a spot check of four products; E01 @ E12 escapes
+    span = SpanBasis(3)
+    for mat in ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[0, 1, 0], [0, 0, 0], [0, 0, 0]], [[0, 0, 0], [0, 0, 1], [0, 0, 0]]):
+        span.insert(mat)
+    center_basis(span)
 
 
 def with_bad_orbits(levels):
@@ -403,7 +412,7 @@ cases = [
     lambda: with_bad_orbits(algebras.LEVELS),
     lambda: with_bad_orbits((2, 3)),
 ]
-print(__debug__, [raises(case) for case in cases])
+print(__debug__, [raises(case) for case in cases] + [raises(unclosed_center, ValueError)])
 """
 
 
@@ -413,7 +422,7 @@ def test_checks_run_under_python_O():
         [sys.executable, "-O", "-c", _UNDER_O], env=env, capture_output=True, text=True, timeout=120
     )
     assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["False", "[True,", "True,", "True,", "True,", "True]"]
+    assert out.stdout.split() == ["False", "[True,", "True,", "True,", "True,", "True,", "True]"]
 
 
 class TestCorner:

@@ -153,6 +153,37 @@ def test_scan_bad_line_names_it(capsys, tmp_path):
     assert [json.loads(line)["graph6"] for line in kept.splitlines()] == ["Bw", "Dh{", "Dh{", "Dh{"]
 
 
+def test_scan_bad_line_keeps_earlier_records_in_a_pool(capsys, tmp_path):
+    # the bad line shares its pool chunk with the two good lines before it
+    corpus = tmp_path / "c.g6"
+    corpus.write_bytes(b"Bw\nDh{\nZZZ\n")
+    for jobs in ("1", "2"):
+        code, _, err = run(capsys, "scan", str(corpus), "--jobs", jobs, "--out", str(tmp_path / jobs))
+        assert code == 2
+        assert "line 3" in err
+    kept = (tmp_path / "2").read_bytes()
+    assert kept == (tmp_path / "1").read_bytes()
+    assert len(kept.splitlines()) == 4
+
+
+def test_bad_jobs_is_exit_1(capsys, tmp_path, monkeypatch):
+    corpus = tmp_path / "c.g6"
+    corpus.write_bytes(b"Bw\n")
+    for value in ("0", "-2", "x", "1.5"):
+        code, _, err = run(capsys, "scan", str(corpus), "--jobs", value)
+        assert code == 1, value
+        assert "--jobs" in err
+    for value in ("x", "0"):
+        monkeypatch.setenv("TERW_JOBS", value)
+        code, _, err = run(capsys, "scan", str(corpus))
+        assert code == 1, value
+        assert "TERW_JOBS" in err
+    # an explicit --jobs wins over the variable
+    assert run(capsys, "scan", str(corpus), "--jobs", "1")[0] == 0
+    monkeypatch.setenv("TERW_JOBS", "1")
+    assert run(capsys, "scan", str(corpus))[0] == 0
+
+
 def test_streamed_scan_output_is_the_report(capsys, tmp_path):
     from terw.pipeline import emit_report, scan_corpus
 

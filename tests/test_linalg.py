@@ -16,7 +16,7 @@ from terw.linalg import (
     row_space_rank,
 )
 
-from oracles import is_multiplicatively_closed
+from oracles import commutator_center, is_multiplicatively_closed
 
 
 def E(n, i, j):
@@ -232,6 +232,87 @@ def test_center_rejects_non_closed_span():
         center_basis(b)
 
 
+def test_center_checks_every_product_of_a_bare_span():
+    # I, E01, E12: the products of the pairs (0,0), (0,2), (2,0) and (1,1) of
+    # basis rows stay in the span, but E01 @ E12 = E02 does not
+    b = SpanBasis(3)
+    b.insert_block(np.stack([np.eye(3, dtype=np.int64), E(3, 0, 1), E(3, 1, 2)]).reshape(3, 9))
+    mats = b.matrices()
+    assert all(b.contains(exact_matmul(mats[i], mats[j])) for i, j in [(0, 0), (0, 2), (2, 0), (1, 1)])
+    with pytest.raises(ValueError, match="not multiplicatively closed"):
+        center_basis(b)
+
+
+def _assert_same_center(got, want):
+    assert got.pivots == want.pivots
+    assert got.rows.dtype == want.rows.dtype
+    assert got.rows.tolist() == want.rows.tolist()
+
+
+def _chain_algebras(graph, base, stab=None):
+    from terw.algebras import chain_with_algebras
+
+    _, algs = chain_with_algebras(graph, base, stab=stab)
+    return algs
+
+
+class TestCenterFromGenerators:
+    """center_basis with the algebra's generators against the full-commutator oracle."""
+
+    def test_every_base_orbit_of_the_n6_corpus(self, corpus):
+        from terw.groups import automorphism_group, vertex_orbits
+
+        shared = 0
+        for n in range(1, 7):
+            for g in corpus[n]:
+                for cell in vertex_orbits(automorphism_group(g)).cells:
+                    algs = _chain_algebras(g, cell[0])
+                    shared += sum(a.basis is b.basis for a, b in zip(algs, algs[1:]))
+                    for alg in algs:
+                        _assert_same_center(
+                            center_basis(alg.basis, alg.generator_matrices), commutator_center(alg.basis)
+                        )
+        assert shared > 0  # levels that share one basis object are covered
+
+    @pytest.mark.parametrize("q", [13, 29])
+    def test_paley(self, q):
+        from terw.graphs import gen_paley
+        from terw.groups import paley_stabilizer_generators
+
+        graph, pc = gen_paley(q)
+        for alg in _chain_algebras(graph, 0, stab=paley_stabilizer_generators(pc)):
+            want = commutator_center(alg.basis)
+            _assert_same_center(center_basis(alg.basis, alg.generator_matrices), want)
+            _assert_same_center(center_basis(alg.basis), want)
+
+
+@st.composite
+def _symmetric_generators(draw):
+    n = draw(st.integers(1, 5))
+    big = draw(st.booleans())
+    entry = st.integers(-(2**40), 2**40) if big else st.integers(0, 1)
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        if draw(st.booleans()):
+            m = np.diag(draw(st.lists(entry, min_size=n, max_size=n)))
+        else:
+            vals = draw(st.lists(entry, min_size=n * (n + 1) // 2, max_size=n * (n + 1) // 2))
+            m = np.zeros((n, n), dtype=object)
+            m[np.triu_indices(n)] = vals
+            m = m + np.triu(m, 1).T
+        gens.append(np.array(m, dtype=object if big else np.int64))
+    return gens
+
+
+@settings(max_examples=60, deadline=None)
+@given(_symmetric_generators())
+def test_center_from_generators_matches_oracle(gens):
+    basis = algebra_closure(gens)
+    want = commutator_center(basis)
+    _assert_same_center(center_basis(basis, gens), want)
+    _assert_same_center(center_basis(basis), want)
+
+
 def test_row_space_rank():
     rows = [np.array([1, 2, 3]), np.array([2, 4, 6]), np.array([0, 1, 1])]
     assert row_space_rank(rows) == 2
@@ -295,6 +376,8 @@ def _sympy_normal_form(rows):
 @given(_blocks())
 # a small row against an int64 basis row near 2**62: C @ R overflows int64
 @example((3, [[1, 2**62 - 5, 2**62 - 7], [3, 0, 1]], [0, 1], [1], [0, 0, 1]))
+# an int64 block holding -2**63, which int64 arithmetic cannot negate
+@example((2, [[-2, 0], [2**62 - 1, 0], [-(2**63), 1]], [2, 1, 0], [1], [0, 0]))
 def test_block_kernel_matches_sympy_rref(case):
     width, rows, order, cuts, extra = case
     want_piv, want_rows = _sympy_normal_form(rows)

@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from oracles import exact_wedderburn_type, sympy_center_dim
+from oracles import commutator_center, exact_wedderburn_type, sympy_center_dim
 from terw.errors import DecompositionError
 from terw.graphs import gen_cycle, gen_delta, gen_paley, gen_path, gen_star
 from terw.groups import paley_stabilizer_generators
@@ -116,7 +116,7 @@ class TestExactOracle:
         alg = build_T(level, gen_delta(5), 4)
         dec = wedderburn_decompose(alg)
         oracle = exact_wedderburn_type(
-            alg.basis.matrices(), center_basis(alg.basis).matrices()
+            alg.basis.matrices(), commutator_center(alg.basis).matrices()
         )
         assert dec.type.blocks == oracle
 
@@ -125,7 +125,7 @@ class TestExactOracle:
             for level in range(5):
                 alg = build_T(level, g, 0)
                 oracle = exact_wedderburn_type(
-                    alg.basis.matrices(), center_basis(alg.basis).matrices()
+                    alg.basis.matrices(), commutator_center(alg.basis).matrices()
                 )
                 assert wedderburn_decompose(alg).type.blocks == oracle
 
@@ -133,14 +133,16 @@ class TestExactOracle:
         p = np.zeros((3, 3), dtype=np.int64)
         p[0, 1] = p[1, 2] = p[2, 0] = 1
         alg = algebra_closure([p])
-        oracle = exact_wedderburn_type(alg.matrices(), center_basis(alg).matrices())
+        oracle = exact_wedderburn_type(alg.matrices(), commutator_center(alg).matrices())
         assert oracle == ((1, 1),) * 3
 
     def test_center_dim_matches_sympy(self):
         for g, b in [(gen_path(4), 1), (gen_cycle(5), 0), (gen_star(5), 1)]:
             for lvl in (1, 2, 4):
                 alg = build_T(lvl, g, b)
-                assert center_basis(alg.basis).dim == sympy_center_dim(alg.basis.matrices())
+                want = sympy_center_dim(alg.basis.matrices())
+                assert center_basis(alg.basis).dim == want
+                assert center_basis(alg.basis, alg.generator_matrices).dim == want
 
 
 class TestBlockOfIdempotent:
