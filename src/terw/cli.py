@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import os
 import sys
 from typing import Optional
 
@@ -194,7 +193,7 @@ def _cmd_scan(args) -> int:
     if args.time_budget is not None:
         extra["time_budget"] = args.time_budget
     records = scan_corpus(
-        args.corpus, filter=args.filter, jobs=resolve_jobs(args.jobs), stats=stats, **extra
+        args.corpus, filter=args.filter, jobs=args.jobs, stats=stats, **extra
     )
     # each record is written as the scan yields it, so a bad line or a crash
     # keeps the graphs already classified
@@ -225,11 +224,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "scan" and args.jobs is None and os.environ.get("TERW_JOBS"):
+        if args.command == "scan":
             try:
-                args.jobs = _positive(int)(os.environ["TERW_JOBS"])
-            except argparse.ArgumentTypeError as exc:
-                parser.error(f"TERW_JOBS: {exc}")
+                args.jobs = resolve_jobs(args.jobs)
+            except ValueError as exc:
+                parser.error(str(exc))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -230,13 +230,16 @@ def _emit_scan(results, filt, stats) -> Iterator[ScanRecord]:
 
 
 def resolve_jobs(jobs: Optional[int]) -> int:
-    """--jobs flag, else TERW_JOBS, else the logical CPU count."""
-    if jobs is not None:
-        return max(1, jobs)
+    """--jobs flag, else TERW_JOBS, else the logical CPU count; ValueError for
+    a jobs <= 0 or a TERW_JOBS that is not an integer > 0."""
     env = os.environ.get("TERW_JOBS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
+    if jobs is None and env:
+        jobs = int(env) if env.strip().isdecimal() else 0
+        if jobs <= 0:
+            raise ValueError(f"TERW_JOBS must be an integer > 0, got {env!r}")
+    if jobs is not None and jobs <= 0:
+        raise ValueError(f"jobs must be > 0, got {jobs}")
+    return jobs or os.cpu_count() or 1
 
 
 # ---------------------------------------------------------------------------

@@ -8,10 +8,11 @@ checked to be closed under products, and then its basis generates.  The
 input must be closed under transpose (checked exactly): then its central
 idempotents are Hermitian, so a Hermitian central element splits the
 algebra by a symmetric eigensolver with orthogonal projectors onto its
-eigenspaces.  Every floating-point conclusion must reconcile with an exact
-integer identity (block count = center dimension, sum of squared block
-sizes = algebra dimension, weighted block sizes = matrix side) before a
-result is reported; any mismatch raises instead of returning silently.
+eigenspaces, and each block size is the square root of one trace.  Every
+floating-point conclusion must reconcile with an exact integer identity
+(block count = center dimension, sum of squared block sizes = algebra
+dimension, weighted block sizes = matrix side) before a result is
+reported; any mismatch raises instead of returning silently.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ from .linalg import SpanBasis, center_basis, exact_matmul
 
 # relative gap for clustering eigenvalues of the Hermitian central element
 _CLUSTER_REL_TOL = 1e-6
-# singular values below this fraction of the largest count as zero
-_RANK_REL_TOL = 1e-8
+# a block trace must lie within this relative distance of a perfect square
+_TRACE_TOL = 1e-6
 _MAX_SEED_RETRIES = 3
 
 
@@ -103,6 +104,12 @@ def _float_stack(span: SpanBasis) -> np.ndarray:
     return f.reshape(-1, span.side, span.side)
 
 
+def _block_traces(frame: np.ndarray, evecs: np.ndarray, clusters: list[np.ndarray]) -> list[float]:
+    """tr(V^H M V) = tr(P M) for each cluster's eigenvectors V, P = V V^H."""
+    diag = np.einsum("ij,ij->j", evecs.conj(), frame @ evecs).real
+    return [float(diag[idx].sum()) for idx in clusters]
+
+
 def wedderburn_decompose(
     algebra: AlgebraBasis | SpanBasis,
     *,
@@ -117,7 +124,8 @@ def wedderburn_decompose(
     central element z + z^T + i(z - z^T) (the real z + z^T when z is
     symmetric), whose eigenvalues must fall into exactly s runs (retrying
     with fresh seeds a few times); the orthogonal projector V V^H onto each
-    run's eigenvectors V; block sizes from compressed numeric ranks,
+    run's eigenvectors V; block sizes from one trace tr(V^H M V) each, which
+    must lie within _TRACE_TOL of a square s_i^2 (M as in the comment below);
     multiplicities from run lengths.  All counts must satisfy
     the exact invariants or the call raises DecompositionError.
     """
@@ -135,7 +143,10 @@ def wedderburn_decompose(
     if s == 0:
         raise DecompositionError("center has dimension zero; input is not a unital algebra")
     center_mats = _float_stack(center)
-    basis_float = _float_stack(basis)
+    # M = sum_j Q_j Q_j^T over any orthonormal basis Q_j of the algebra (one QR) is
+    # sum_i (s_i / m_i) P_i for blocks M_{s_i} (x) I_{m_i}, so tr(P_i M) = s_i^2
+    q = np.linalg.qr(_float_stack(basis).reshape(d, n * n).T)[0]
+    frame = q.reshape(n, n * d) @ q.reshape(n, n * d).T  # row a holds Q_j[a, b] at b*d + j
 
     last_error = "no attempt"
     for attempt in range(_MAX_SEED_RETRIES):
@@ -154,31 +165,18 @@ def wedderburn_decompose(
             last_error = f"eigenvalues did not split into {s} clusters"
             continue
         pairs: list[tuple[int, int]] = []
-        projectors: list[np.ndarray] = []
-        ok = True
-        for idx in clusters:
-            v = evecs[:, idx]
-            proj = v @ v.conj().T
-            nm = len(idx)  # rank of the projector
-            stack = (proj @ basis_float @ proj).reshape(d, n * n)
-            svals = np.linalg.svd(stack, compute_uv=False)
-            rank = int(np.sum(svals > _RANK_REL_TOL * svals[0]))
-            size = round(rank**0.5)
-            if size * size != rank:
-                ok = False
-                last_error = f"compressed rank {rank} is not a perfect square"
+        for idx, tr in zip(clusters, _block_traces(frame, evecs, clusters)):
+            size = round(max(tr, 0.0) ** 0.5)
+            if size < 1 or abs(tr - size * size) > _TRACE_TOL * size * size:
+                last_error = f"block trace {tr:.12g} is not within {_TRACE_TOL:g} of a perfect square"
                 break
-            if nm % size:
-                ok = False
-                last_error = f"cluster size {nm} not divisible by block size {size}"
+            if len(idx) % size:
+                last_error = f"cluster size {len(idx)} not divisible by block size {size}"
                 break
-            pairs.append((size, nm // size))
-            projectors.append(proj)
-        if not ok:
+            pairs.append((size, len(idx) // size))
+        if len(pairs) < s:
             continue
         wtype = WedderburnType.from_pairs(pairs)
-        order = sorted(range(len(pairs)), key=lambda i: (-pairs[i][0], -pairs[i][1]))
-        projectors = [projectors[i] for i in order]
         if wtype.algebra_dim() != d:
             last_error = f"sum of squared sizes {wtype.algebra_dim()} != dim {d}"
             continue
@@ -188,9 +186,8 @@ def wedderburn_decompose(
         if wtype.num_blocks != s:
             last_error = "block count differs from center dimension"
             continue
-        if any(sz < 1 or m < 1 for sz, m in wtype.blocks):
-            last_error = "non-positive block data"
-            continue
+        order = sorted(range(len(pairs)), key=lambda i: (-pairs[i][0], -pairs[i][1]))
+        projectors = [evecs[:, clusters[i]] @ evecs[:, clusters[i]].conj().T for i in order]
         return WedderburnDecomposition(type=wtype, projectors=projectors, center=center, seed=attempt_seed)
     raise DecompositionError(f"decomposition failed after {_MAX_SEED_RETRIES} attempts: {last_error}")
 

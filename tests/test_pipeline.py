@@ -204,3 +204,13 @@ def test_resolve_jobs_env(monkeypatch):
     assert resolve_jobs(5) == 5
     monkeypatch.delenv("TERW_JOBS")
     assert resolve_jobs(None) >= 1
+    for jobs in (0, -3):
+        with pytest.raises(ValueError, match="jobs must be > 0"):
+            resolve_jobs(jobs)
+    for value in ("x", "0", "-2", "1.5"):
+        monkeypatch.setenv("TERW_JOBS", value)
+        with pytest.raises(ValueError, match="TERW_JOBS"):
+            resolve_jobs(None)
+        with pytest.raises(ValueError, match="TERW_JOBS"):
+            list(scan_corpus([b"Bw"]))
+    assert resolve_jobs(2) == 2  # an explicit jobs wins over a bad TERW_JOBS

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import numpy as np
@@ -15,6 +16,27 @@ from terw.structure import WedderburnType, block_of_idempotent, is_thin, wedderb
 def E(n, i, j):
     m = np.zeros((n, n), dtype=np.int64)
     m[i, j] = 1
+    return m
+
+
+def _rotation(k):
+    return np.roll(np.eye(k, dtype=np.int64), 1, axis=1)
+
+
+def _block_diag(a, b):
+    m = np.zeros((len(a) + len(b),) * 2, dtype=np.int64)
+    m[: len(a), : len(a)] = a
+    m[len(a) :, len(a) :] = b
+    return m
+
+
+def _regular_s3(which):
+    """Left-regular permutation matrix of (0 1) (which=0) or (0 1 2) (which=1)."""
+    elems = list(itertools.permutations(range(3)))
+    g = [(1, 0, 2), (1, 2, 0)][which]
+    m = np.zeros((6, 6), dtype=np.int64)
+    for i, h in enumerate(elems):
+        m[elems.index(tuple(g[x] for x in h)), i] = 1
     return m
 
 
@@ -65,8 +87,7 @@ class TestDecompose:
         # regular representation of C_k: k 1-dim blocks whose central
         # idempotents come in up to three complex-conjugate pairs, which a
         # split on the symmetric part of the central element alone merges
-        p = np.roll(np.eye(k, dtype=np.int64), 1, axis=1)
-        dec = wedderburn_decompose(algebra_closure([p]))
+        dec = wedderburn_decompose(algebra_closure([_rotation(k)]))
         assert dec.type.blocks == ((1, 1),) * k
 
     def test_rejects_span_not_closed_under_transpose(self):
@@ -97,6 +118,37 @@ class TestDecompose:
         assert len(calls) == 2
         assert dec.seed == 7919
         assert dec.type.render() == "M3+C+C"
+
+    def test_non_square_trace_retries_with_next_seed(self, monkeypatch):
+        from terw import structure
+
+        traces = structure._block_traces
+        calls = []
+
+        def off_once(frame, evecs, clusters):
+            calls.append(1)
+            out = traces(frame, evecs, clusters)
+            return [out[0] + 0.5] + out[1:] if len(calls) == 1 else out
+
+        monkeypatch.setattr(structure, "_block_traces", off_once)
+        dec = wedderburn_decompose(build_T(2, gen_delta(5), 4), seed=0)
+        assert len(calls) == 2
+        assert dec.seed == 7919
+        assert dec.type.render() == "M3+C+C"
+
+    def test_non_square_trace_every_attempt_raises(self, monkeypatch):
+        from terw import structure
+
+        monkeypatch.setattr(structure, "_block_traces", lambda f, v, clusters: [2.0] * len(clusters))
+        with pytest.raises(DecompositionError, match="block trace 2 is not within"):
+            wedderburn_decompose(build_T(2, gen_delta(5), 4))
+
+    def test_paley29_level4_formula(self):
+        # T4 of Paley(p) at a base vertex is M3 + ((p-3)/2) x M2, dim 2p + 3
+        g, pc = gen_paley(29)
+        t4 = build_T(4, g, 0, stab=paley_stabilizer_generators(pc))
+        assert t4.dim == 2 * 29 + 3
+        assert wedderburn_decompose(t4).type.blocks == ((3, 1),) + ((2, 1),) * 13
 
     def test_transposed_basis_same_type(self):
         alg = build_T(2, gen_delta(6), 5)
@@ -136,6 +188,21 @@ class TestExactOracle:
         oracle = exact_wedderburn_type(alg.matrices(), commutator_center(alg).matrices())
         assert oracle == ((1, 1),) * 3
 
+    @pytest.mark.parametrize(
+        "gens, blocks",
+        [
+            # C3 on two regular orbits: complex central idempotents, multiplicity 2
+            ([_block_diag(_rotation(3), _rotation(3))], ((1, 2),) * 3),
+            # regular representation of S3 from a transposition and a 3-cycle
+            ([_regular_s3(0), _regular_s3(1)], ((2, 2), (1, 1), (1, 1))),
+        ],
+    )
+    def test_multiplicities_match_oracle(self, gens, blocks):
+        alg = algebra_closure(gens)
+        oracle = exact_wedderburn_type(alg.matrices(), commutator_center(alg).matrices())
+        assert oracle == blocks
+        assert wedderburn_decompose(alg).type.blocks == blocks
+
     def test_center_dim_matches_sympy(self):
         for g, b in [(gen_path(4), 1), (gen_cycle(5), 0), (gen_star(5), 1)]:
             for lvl in (1, 2, 4):
@@ -143,6 +210,31 @@ class TestExactOracle:
                 want = sympy_center_dim(alg.basis.matrices())
                 assert center_basis(alg.basis).dim == want
                 assert center_basis(alg.basis, alg.generator_matrices).dim == want
+
+
+def test_block_traces_far_inside_tolerance(corpus, monkeypatch):
+    # the split's margin: every tr(P_i M) lies within 1e-9 of s_i^2, relative,
+    # at least 1000 times inside _TRACE_TOL
+    from terw import structure
+
+    traces = structure._block_traces
+    seen = []
+
+    def record(frame, evecs, clusters):
+        out = traces(frame, evecs, clusters)
+        seen.extend(out)
+        return out
+
+    monkeypatch.setattr(structure, "_block_traces", record)
+    algs = [build_T(level, g, 0) for g in random.Random(0).sample(corpus[6], 20) for level in range(5)]
+    for q in (13, 29):
+        g, pc = gen_paley(q)
+        algs += [build_T(level, g, 0, stab=paley_stabilizer_generators(pc)) for level in range(5)]
+    blocks = sum(wedderburn_decompose(alg).type.num_blocks for alg in algs)
+    assert len(seen) == blocks
+    worst = max(abs(t - round(t**0.5) ** 2) / round(t**0.5) ** 2 for t in seen)
+    assert worst <= 1e-9
+    assert structure._TRACE_TOL >= 1e-6
 
 
 class TestBlockOfIdempotent:
