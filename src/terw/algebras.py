@@ -79,6 +79,8 @@ class AlgebraBasis:
     # distance cells (level 2), orbit cells (level 3), or orbital cells as
     # pair codes x*n+y (level 4)
     cells: Optional[tuple[tuple[int, ...], ...]] = None
+    # level 4: the orbital cell index of each pair code x*n+y
+    cell_labels: Optional[np.ndarray] = None
 
     @property
     def dim(self) -> int:
@@ -161,7 +163,7 @@ def build_T(
         raise ValueError("algebra builders need a connected graph")
     n = graph.n
     a = graph.adjacency_matrix()
-    cells = None
+    cells = labels = None
     if level >= 3:
         group = stab if stab is not None else stabilizer(
             graph, base, node_budget=node_budget, time_budget=time_budget
@@ -186,7 +188,8 @@ def build_T(
     else:
         orbs = orbitals(group)
         cells = tuple(tuple(x * n + y for x, y in cell) for cell in orbs.cells)
-        _certify_commutant(group, _cell_labels(n, cells))
+        labels = _cell_labels(n, cells)
+        _certify_commutant(group, labels)
         basis = SpanBasis(n)
         for m in orbital_matrices(orbs):
             basis.insert(m)
@@ -198,7 +201,14 @@ def build_T(
         basis = algebra_closure(gens, side=n, below=None if below is None else below.basis)
         _certify_unital_and_selfadjoint(basis, gens)
     alg = AlgebraBasis(
-        level=level, base=base, n=n, basis=basis, generators=names, generator_matrices=np.asarray(gens), cells=cells
+        level=level,
+        base=base,
+        n=n,
+        basis=basis,
+        generators=names,
+        generator_matrices=np.asarray(gens),
+        cells=cells,
+        cell_labels=labels,
     )
     if below is not None:
         _certify_step(graph, below, alg)
@@ -234,7 +244,7 @@ def _certify_step(graph: Graph, small: AlgebraBasis, big: AlgebraBasis) -> None:
         if any(len({dist_cell[v] for v in cell}) != 1 for cell in big.cells):
             raise CertificationError("a stabilizer orbit meets two distance cells")
     if step == 3:
-        labels = _cell_labels(n, big.cells)
+        labels = big.cell_labels
         if not _constant_on_cells(graph.adjacency_matrix(), labels):
             raise CertificationError("A is not constant on an orbital cell; a stabilizer generator is not an automorphism")
         if not all(_constant_on_cells(idempotent_for_set(n, cell), labels) for cell in small.cells):

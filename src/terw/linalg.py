@@ -7,15 +7,19 @@ in all other rows.  That form is unique for a span, so bases built by any
 route agree entry for entry.  The array is int64 while every entry is
 below 2**62, and Python integers (object dtype) while any entry needs more.
 
-One kernel does all elimination, a block of rows at a time:
+One kernel does all elimination (fraction-free Gauss-Jordan, as in
+Bareiss 1968), a block of rows at a time:
 
   * ``reduce_block(P)`` reduces every row of P against the basis in one
     step, ``L*P - (P[:, piv] * (L/p)) @ R`` with p the pivot values and L
     their lcm (1 in the common case).  A float64 bound on the result picks
     int64 arithmetic, else the same expression runs on object dtype.
-  * ``insert_block(P)`` reduces P and then eliminates among the reduced rows
-    only, with one vectorised update of the remaining rows and of the basis
-    per new pivot, the same step against the one-row basis of that pivot.
+  * ``insert_block(P)`` reduces P, brings the nonzero residuals (already
+    zero in every old pivot column) to reduced echelon form among
+    themselves, clears the new pivot columns from the old basis rows with
+    the same one-step formula against the new rows, and merges the two
+    sets of rows in pivot order.  The in-block echelon keeps a float bound
+    per row, so its int64 overflow check needs no reductions.
 
 ``reduce``, ``contains`` and ``insert`` are their one-row case, and
 ``algebra_closure`` feeds them one layer of products at a time.  The
@@ -63,7 +67,7 @@ def _fit(a: np.ndarray) -> np.ndarray:
 def _primitive_rows(rows: np.ndarray) -> np.ndarray:
     """Each nonzero row divided by its content (the gcd of its entries)."""
     g = np.gcd.reduce(rows, axis=1, initial=0)
-    if not np.any(g > 1):
+    if not (g > 1).any():
         return rows
     g[g == 0] = 1
     return _fit(rows // g[:, None])
@@ -89,6 +93,99 @@ def _eliminate(p_blk: np.ndarray, lcm: int, c: np.ndarray, f: np.ndarray, r: np.
         if bound < _BOUND_LIMIT:
             return lcm * p_blk - (c * f) @ r
     return _fit(_as_object(p_blk) * lcm - (_as_object(c) * _as_object(f)) @ _as_object(r))
+
+
+def _reduce_rows(p_blk: np.ndarray, r: np.ndarray, piv: np.ndarray) -> np.ndarray:
+    """p_blk reduced against echelon rows r with pivot columns piv.
+
+    ``L*p_blk - (p_blk[:, piv] * (L/p)) @ r`` with p the pivot values and L
+    their lcm (1 in the common case); p_blk itself when it is already zero
+    in every pivot column.
+    """
+    c = p_blk[:, piv]
+    if not c.any():
+        return p_blk
+    pv = r[np.arange(len(piv)), piv].tolist()
+    lcm = math.lcm(*pv)
+    f = np.array([lcm // x for x in pv], dtype=np.int64 if lcm < _BOUND_LIMIT else object)
+    return _eliminate(p_blk, lcm, c, f, r)
+
+
+def _exact_bounds(rows: np.ndarray) -> list[float]:
+    """max |entry| of each row as a float, inf where it reaches 2**62."""
+    m = np.abs(rows).max(axis=1).tolist()
+    return [float(x) if x < _INT64_LIMIT else math.inf for x in m]
+
+
+def _echelon(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Reduced echelon form of nonzero rows among themselves.
+
+    Returns primitive rows with positive pivots, in pivot order, and their
+    pivot columns.  Each step takes the row of smallest leading entry as a
+    pivot and clears its column from the rows that have it.  A float upper
+    bound of each row's largest entry picks int64 or object arithmetic
+    without a new reduction, a row that vanishes has gcd 0, and leading
+    entries are found again only in the rows that changed.
+    """
+    g = np.gcd.reduce(s, axis=1, initial=0)
+    if any(x != 1 for x in g.tolist()):
+        s, g = s[g != 0], g[g != 0]
+        s = s // g[:, None]
+    lead = (s != 0).argmax(axis=1)
+    if len(s) <= 1:
+        return _fit(-s if len(s) and s[0, lead[0]] < 0 else s), lead
+    bound = _exact_bounds(s)
+    if s.dtype == object and max(bound) < _INT64_LIMIT:
+        s = s.astype(np.int64)
+    val = s[np.arange(len(s)), lead].tolist()
+    lead = lead.tolist()
+    todo, gone = set(range(len(s))), set()
+    while todo:
+        i = min(todo, key=lambda t: (abs(val[t]), lead[t]))
+        todo.remove(i)
+        col, a = lead[i], abs(val[i])
+        if val[i] < 0:
+            s[i] = -s[i]
+        c = s[:, col].copy()
+        c[i] = 0
+        hit = c.nonzero()[0]
+        if not len(hit):
+            continue
+        c = c[hit]
+        hl = hit.tolist()
+        if s.dtype != object:
+            est = [a * bound[t] + abs(x) * bound[i] for t, x in zip(hl, c.tolist())]
+            if max(est) >= _BOUND_LIMIT:
+                for t, b in zip(hl + [i], _exact_bounds(s[hl + [i]])):
+                    bound[t] = b
+                est = [a * bound[t] + abs(x) * bound[i] for t, x in zip(hl, c.tolist())]
+                if max(est) >= _BOUND_LIMIT:
+                    s, c = s.astype(object), c.astype(object)
+        upd = (s[hit] if a == 1 else a * s[hit]) - c[:, None] * s[i]
+        g = np.gcd.reduce(upd, axis=1, initial=0)
+        gl = g.tolist()
+        if any(x != 1 for x in gl):
+            gone.update(t for t, x in zip(hl, gl) if x == 0)
+            g[g == 0] = 1
+            upd //= g[:, None]
+        s[hit] = upd
+        if s.dtype != object:
+            for t, e, x in zip(hl, est, gl):
+                bound[t] = e / x if x else 0.0
+        else:
+            for t, b in zip(hl, _exact_bounds(upd)):
+                bound[t] = b
+            if max(bound) < _INT64_LIMIT:
+                s = s.astype(np.int64)
+        todo -= gone
+        moved = [k for k, t in enumerate(hl) if t in todo]
+        if moved:
+            sub = upd if len(moved) == len(hl) else upd[moved]
+            nl = (sub != 0).argmax(axis=1)
+            for k, l, v in zip(moved, nl.tolist(), sub[np.arange(len(moved)), nl].tolist()):
+                lead[hl[k]], val[hl[k]] = l, v
+    keep = sorted(set(range(len(s))) - gone, key=lead.__getitem__)
+    return _fit(s[keep]), np.array([lead[t] for t in keep], dtype=np.intp)
 
 
 def as_int_matrix(mat, side: int | None = None) -> np.ndarray:
@@ -150,56 +247,42 @@ class RowSpace:
         it is zero exactly when the row lies in the span.
         """
         p_blk = self._block(block)
-        r, piv = self.rows, self._piv
-        c = p_blk[:, piv]
-        if not np.any(c):
-            return p_blk.copy()
-        pv = r[np.arange(len(piv)), piv].tolist()
-        lcm = math.lcm(*pv)
-        f = np.array([lcm // x for x in pv], dtype=np.int64 if lcm < _BOUND_LIMIT else object)
-        return _eliminate(p_blk, lcm, c, f, r)
+        s = _reduce_rows(p_blk, self.rows, self._piv)
+        return p_blk.copy() if s is p_blk else s
 
     def insert_block(self, block) -> np.ndarray:
         """Add every row of a block to the span; returns the new basis rows.
 
-        The block is reduced against the basis; its nonzero residuals become
-        pivots one at a time, smallest leading entry first, and each new
-        pivot column is cleared from every other row in one update.
+        The block is reduced against the basis, and its nonzero residuals,
+        already zero in every old pivot column, are brought to reduced
+        echelon form among themselves.  One reduction of the old basis rows
+        against these new rows then clears the new pivot columns, and the
+        two sets of rows are merged in pivot order.
         """
-        s = self.reduce_block(block)
-        s = s[np.any(s != 0, axis=1)]
-        if len(s) == 0:
-            return s
-        k0 = self.dim
-        w = np.concatenate([self.rows, _primitive_rows(s)])
-        piv = self._piv.tolist() + [-1] * len(s)
-        todo = list(range(k0, len(w)))
-        one = np.ones(1, dtype=np.int64)
-        while todo:
-            sub = w[todo]
-            lead = np.argmax(sub != 0, axis=1).tolist()
-            val = sub[np.arange(len(todo)), lead].tolist()
-            j = min(range(len(todo)), key=lambda t: (abs(val[t]), lead[t]))
-            i, col, a = todo.pop(j), lead[j], abs(val[j])
-            if val[j] < 0:
-                w[i] = -w[i]
-            piv[i] = col
-            hit = np.flatnonzero(w[:, col])
-            hit = hit[hit != i]
-            if not hit.size:
-                continue
-            upd = _primitive_rows(_eliminate(w[hit], a, w[hit, col][:, None], one, w[i][None]))
-            if upd.dtype == object and w.dtype != object:
-                w = w.astype(object)
-            w[hit] = upd
-            w = _fit(w)
-            gone = set(hit[~np.any(upd != 0, axis=1)].tolist())
-            if gone:
-                todo = [t for t in todo if t not in gone]
-        keep = sorted((t for t in range(len(w)) if piv[t] >= 0), key=piv.__getitem__)
-        self.rows = _fit(w[keep])
-        self._piv = np.array([piv[t] for t in keep], dtype=np.intp)
-        return self.rows[np.array(keep) >= k0]
+        new, npiv = _echelon(self.reduce_block(block))
+        old, piv = self.rows, self._piv
+        if not len(npiv):
+            return new
+        if len(npiv) == 1:
+            i = int(piv.searchsorted(npiv[0]))
+            rows = np.concatenate([old[:i], new, old[i:]])
+            merged = np.concatenate([piv[:i], npiv, piv[i:]])
+        else:
+            # the new rows' places among the merged rows
+            fresh = np.zeros(len(piv) + len(npiv), dtype=bool)
+            fresh[piv.searchsorted(npiv) + np.arange(len(npiv))] = True
+            rows = np.empty((len(fresh), self.width), dtype=np.result_type(old, new))
+            rows[fresh], rows[~fresh] = new, old
+            merged = np.empty(len(fresh), dtype=np.intp)
+            merged[fresh], merged[~fresh] = npiv, piv
+        hit = old[:, npiv].any(axis=1).nonzero()[0]
+        if hit.size:
+            upd = _primitive_rows(_reduce_rows(old[hit], new, npiv))
+            if upd.dtype == object and rows.dtype != object:
+                rows = rows.astype(object)
+            rows[hit + npiv.searchsorted(piv[hit])] = upd
+        self.rows, self._piv = _fit(rows), merged
+        return new
 
     def reduce(self, vec: np.ndarray) -> np.ndarray:
         """Residual of one vector against the basis (zero iff it is in the span)."""

@@ -378,6 +378,15 @@ def _sympy_normal_form(rows):
 @example((3, [[1, 2**62 - 5, 2**62 - 7], [3, 0, 1]], [0, 1], [1], [0, 0, 1]))
 # an int64 block holding -2**63, which int64 arithmetic cannot negate
 @example((2, [[-2, 0], [2**62 - 1, 0], [-(2**63), 1]], [2, 1, 0], [1], [0, 0]))
+# one-row inserts: the second goes in before every pivot, the third between
+# two pivots, in a column where the first basis row is nonzero
+@example((4, [[0, 0, 1, 1], [1, 1, 0, 0], [0, 2, 0, 3]], [0, 1, 2], [1, 2], [1, 0, 0, 0]))
+# the third row of the second block vanishes during its echelon, and the
+# basis row must lose the block's first pivot column
+@example((3, [[1, 1, 0], [0, 1, 1], [0, 1, 2], [0, 2, 3]], [0, 1, 2, 3], [1], [1, 0, 1]))
+# the block's echelon passes the int64 bound (3 * r2 - (2**61 + 1) * r1)
+# while the basis row stays small
+@example((3, [[1, 1, 1], [0, 3, 1], [0, 2**61 + 1, 2**61]], [0, 1, 2], [1], [0, 1, 1]))
 def test_block_kernel_matches_sympy_rref(case):
     width, rows, order, cuts, extra = case
     want_piv, want_rows = _sympy_normal_form(rows)
