@@ -7,7 +7,8 @@ Levels, for a connected graph with base vertex x0:
   2  generated by A and the diagonal idempotents of the distance partition
   3  generated by A and the idempotents of the stabilizer's vertex orbits
   4  span of the 0/1 orbital matrices of the stabilizer (the centralizer
-     algebra); built directly as a span
+     algebra); read off its cells, whose indicators sorted by smallest pair
+     code already are the reduced echelon basis
 
 Every level is a unital algebra closed under transpose and contains the
 previous one.  Each fact is certified on construction from facts about the
@@ -16,29 +17,47 @@ O(n^2 |gens|) and without elimination:
 
   * levels 0-3 are transpose-closed because every generator is symmetric
     (the transpose of a word is the reversed word); the identity is checked
-    by one reduction;
+    by one reduction, unless the level shares the basis object of the level
+    below or of T4, certified unital already;
   * level 4 is the commutant of the stabilizer, hence a unital
     transpose-closed algebra: its cells partition the vertex pairs, each is
     one generator orbit (``orbitals``), every stabilizer generator maps each
     cell onto itself, the diagonal pairs form whole cells and the transpose
     of a cell is a cell;
   * T_k lies in the algebra T_{k+1} once T_k's generators do: A generates
-    levels 0-3, distance cell 0 is {x0}, each stabilizer orbit lies inside
-    one distance cell, and A and every orbit idempotent are constant on each
-    orbital cell.
+    levels 0-3, distance cell 0 is {x0}, and each stabilizer orbit lies
+    inside one distance cell;
+  * T_k (k <= 3) lies in T4 once A and each idempotent generator of T_k
+    are constant on every orbital cell; for T3 this is the step to T4.
 
 A failed certificate raises CertificationError.
 
-Containment also makes the chain incremental: T_{k+1} is the algebra
-generated by T_k and its own generators, so ``chain_with_algebras`` builds
-levels 1-3 by extending the basis of the level below
-(``algebra_closure(..., below=...)``).  A level equal to the one below
-costs one reduction and shares its basis object.  A seeded level is
-returned only after the certificate of its step has passed.
+Containment also makes the chain incremental.  ``chain_with_algebras``
+builds T4 first (its stabilizer search comes before level 3's), then
+levels 0-3 in ascending order:
+
+  * T1 is T0 + U⊗U, with U = span{A^i e_x0} = T0 e_x0 the base vertex's
+    cyclic module, and needs no closure.  T0 + U⊗U holds A and
+    E_x0 = e_x0 e_x0^T; each u v^T = A^i E_x0 A^j is a word; and the sum is
+    closed under products, as B u v^T = (Bu) v^T and u v^T B = u (Bv)^T for
+    B in the symmetric algebra T0, and u v^T u' v'^T = (v^T u') u v'^T.  The
+    outer products of U's echelon rows are U⊗U's echelon basis, so T1 costs
+    one block insert of T0's rows (``outer_square``);
+  * levels 2-3 are generated by T_{k-1} and their own generators, so they
+    extend the basis of the level below (``algebra_closure(...,
+    below=...)``); a level equal to the one below costs one reduction and
+    shares its basis object;
+  * every closure of levels 0-3 stops once it reaches dim T4 (``within``):
+    a subspace of T4 of that dimension is T4, so that level takes T4's
+    basis object, and equal levels share one object all the way up.
+
+A level built this way is returned only after the certificates of its step
+and of its containment in T4 have passed.
 """
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -48,8 +67,11 @@ import numpy as np
 from . import linalg
 from .errors import BudgetExceededError, CertificationError
 from .graphs import Graph, bfs_distance_partition
-from .groups import DEFAULT_NODE_BUDGET, PermGroup, orbital_matrices, orbitals, stabilizer, vertex_orbits
-from .linalg import SpanBasis, algebra_closure, exact_matmul
+# orbital_matrices is not called here, level 4 is read off its cell labels;
+# the name stays importable because bench/tracing.py wraps
+# terw.algebras.orbital_matrices as a span site
+from .groups import DEFAULT_NODE_BUDGET, PermGroup, orbital_matrices, orbitals, stabilizer, vertex_orbits  # noqa: F401
+from .linalg import RowSpace, SpanBasis, algebra_closure, cell_span, exact_matmul, outer_square
 
 LEVELS = (0, 1, 2, 3, 4)
 
@@ -90,32 +112,33 @@ class AlgebraBasis:
         return self.basis.contains(mat)
 
 
-def _certify_unital_and_selfadjoint(basis: SpanBasis, gens: list[np.ndarray]) -> None:
+def _certify_unital_and_selfadjoint(basis: SpanBasis, gens: list[np.ndarray], known_unital: bool) -> None:
     for g in gens:
         if not np.array_equal(g, g.T):
             raise CertificationError("a generator is not symmetric, so transpose closure fails")
-    if not basis.contains(np.eye(basis.side, dtype=np.int64)):
+    if not known_unital and not basis.contains(np.eye(basis.side, dtype=np.int64)):
         raise CertificationError("algebra misses the identity")
 
 
 def _cell_labels(n: int, cells) -> np.ndarray:
     """Cell index of each pair code x*n+y; the cells must partition the pairs."""
+    sizes = [len(cell) for cell in cells]
+    codes = np.fromiter(itertools.chain.from_iterable(cells), dtype=np.int64, count=sum(sizes))
+    if np.bincount(codes, minlength=n * n).max() > 1:
+        raise CertificationError("orbital cells overlap")
     labels = np.full(n * n, -1, dtype=np.int64)
-    for cid, cell in enumerate(cells):
-        idx = np.asarray(cell, dtype=np.int64)
-        if np.any(labels[idx] >= 0):
-            raise CertificationError("orbital cells overlap")
-        labels[idx] = cid
+    labels[codes] = np.repeat(np.arange(len(cells)), sizes)
     if np.any(labels < 0):
         raise CertificationError("orbital cells miss a vertex pair")
     return labels
 
 
-def _constant_on_cells(mat: np.ndarray, labels: np.ndarray) -> bool:
-    flat = mat.reshape(-1)
-    first = np.empty(int(labels.max()) + 1, dtype=flat.dtype)
-    first[labels] = flat
-    return np.array_equal(first[labels], flat)
+def _constant_on_cells(mats: np.ndarray, labels: np.ndarray) -> bool:
+    """A matrix, or each matrix of a stack, is constant on every cell."""
+    flat = mats.reshape(-1, labels.size)
+    first = np.empty((len(flat), int(labels.max()) + 1), dtype=flat.dtype)
+    first[:, labels] = flat
+    return np.array_equal(first[:, labels], flat)
 
 
 def _certify_commutant(group: PermGroup, labels: np.ndarray) -> None:
@@ -139,26 +162,38 @@ def build_T(
     node_budget: int = DEFAULT_NODE_BUDGET,
     time_budget: Optional[float] = None,
     below: Optional[AlgebraBasis] = None,
+    within: Optional[AlgebraBasis] = None,
 ) -> AlgebraBasis:
     """Exact basis of the level-0..4 algebra of (graph, base).
 
     Level 0 ignores the base vertex (the adjacency algebra does not depend
     on it) but records it.  Levels 3 and 4 need the base-vertex stabilizer:
     pass one in (e.g. an analytic Paley group) or it is found by search.
+    Level 4 is read off its orbital cells, which already are the normal
+    form.
 
-    ``below`` is the level-(level-1) algebra of the same (graph, base).
-    Levels 1-3 then extend its basis instead of closing from the identity,
-    and return its very basis object when no generator is new; level 4
-    stays the orbital span.  Either way the containment of ``below`` is
-    certified (``_certify_step``) before the algebra is returned.  Without
-    ``below`` every level is built from scratch.
+    ``below`` is the level-(level-1) algebra of the same (graph, base),
+    given to levels 1-3.  Level 1 is then T0 + U⊗U with U the cyclic module T0 e_x0, built
+    without a closure; levels 2-3 extend below's basis instead of closing
+    from the identity; a level equal to ``below`` returns its very basis
+    object.  The containment of ``below`` is certified (``_certify_step``)
+    before the algebra is returned.
+
+    ``within`` is the level-4 algebra of the same (graph, base), given to
+    levels 0-3.  Their closure stops once it reaches dim T4, a level equal
+    to T4 returns T4's basis object, and after ``_certify_step`` every
+    generator is certified constant on T4's orbital cells, so the level
+    lies inside T4.  Without ``below`` and ``within`` every level is built
+    from scratch.
     """
     if level not in LEVELS:
         raise ValueError(f"level must be one of {LEVELS}")
     if not 0 <= base < graph.n:
         raise ValueError(f"base vertex {base} out of range")
-    if below is not None and (below.level, below.base, below.n) != (level - 1, base, graph.n):
-        raise ValueError(f"below must be the level-{level - 1} algebra of the same graph and base")
+    if below is not None and (level == 4 or (below.level, below.base, below.n) != (level - 1, base, graph.n)):
+        raise ValueError("below must be the algebra one level down of the same graph and base, given to levels 1-3")
+    if within is not None and (level == 4 or (within.level, within.base, within.n) != (4, base, graph.n)):
+        raise ValueError("within must be the level-4 algebra of the same graph and base, given to levels 0-3")
     if not graph.is_connected():
         raise ValueError("algebra builders need a connected graph")
     n = graph.n
@@ -186,20 +221,34 @@ def build_T(
         gens = [a] + [idempotent_for_set(n, c) for c in cells]
         names = ("A",) + tuple(f"E[Y{k}]" for k in range(len(cells)))
     else:
-        orbs = orbitals(group)
-        cells = tuple(tuple(x * n + y for x, y in cell) for cell in orbs.cells)
+        cells = tuple(tuple(x * n + y for x, y in cell) for cell in orbitals(group).cells)
         labels = _cell_labels(n, cells)
         _certify_commutant(group, labels)
-        basis = SpanBasis(n)
-        for m in orbital_matrices(orbs):
-            basis.insert(m)
-        # the basis rows are the orbital matrices (disjoint 0/1 cells), and a
-        # basis generates its own span
+        basis = cell_span(n, labels)
+        # a basis generates its own span
         gens = basis.rows.reshape(-1, n, n)
         names = tuple(f"A[orbital {i}]" for i in range(len(cells)))
+    if level == 1 and below is not None:
+        # T1 = T0 + U⊗U, U = T0 e_x0 (see the module docstring)
+        module = RowSpace(n)
+        module.insert_block(below.basis.rows.reshape(-1, n, n)[:, :, base])
+        basis = outer_square(module)
+        basis.insert_block(below.basis.rows)
+        if basis.dim == below.dim:
+            basis = below.basis
+        elif within is not None and basis.dim == within.dim:
+            basis = within.basis
+    elif level < 4:
+        basis = algebra_closure(
+            gens,
+            side=n,
+            below=None if below is None else below.basis,
+            within=None if within is None else within.basis,
+        )
     if level < 4:
-        basis = algebra_closure(gens, side=n, below=None if below is None else below.basis)
-        _certify_unital_and_selfadjoint(basis, gens)
+        # a basis object shared with below or T4 was certified unital there
+        shared = any(alg is not None and basis is alg.basis for alg in (below, within))
+        _certify_unital_and_selfadjoint(basis, gens, known_unital=shared)
     alg = AlgebraBasis(
         level=level,
         base=base,
@@ -212,6 +261,8 @@ def build_T(
     )
     if below is not None:
         _certify_step(graph, below, alg)
+    if within is not None:
+        _certify_within(alg, within)
     return alg
 
 
@@ -231,9 +282,12 @@ class ChainReport:
 
 
 def _certify_step(graph: Graph, small: AlgebraBasis, big: AlgebraBasis) -> None:
-    """T_k lies in T_{k+1}: every generator of T_k lies in the algebra T_{k+1}."""
+    """T_k lies in T_{k+1} for k < 3: every generator of T_k lies in T_{k+1}.
+
+    Step 3 is ``_certify_within``.
+    """
     n, step = graph.n, small.level
-    if any(alg.generators[0] != "A" for alg in (small, big) if alg.level < 4):
+    if small.generators[0] != "A" or big.generators[0] != "A":
         raise CertificationError("A must generate levels 0-3")
     if step == 1 and big.cells[0] != (big.base,):
         raise CertificationError("distance cell 0 is not the base vertex")
@@ -243,12 +297,15 @@ def _certify_step(graph: Graph, small: AlgebraBasis, big: AlgebraBasis) -> None:
             raise CertificationError("stabilizer orbits do not partition the vertices")
         if any(len({dist_cell[v] for v in cell}) != 1 for cell in big.cells):
             raise CertificationError("a stabilizer orbit meets two distance cells")
-    if step == 3:
-        labels = big.cell_labels
-        if not _constant_on_cells(graph.adjacency_matrix(), labels):
-            raise CertificationError("A is not constant on an orbital cell; a stabilizer generator is not an automorphism")
-        if not all(_constant_on_cells(idempotent_for_set(n, cell), labels) for cell in small.cells):
-            raise CertificationError("an orbit idempotent is not constant on an orbital cell")
+
+
+def _certify_within(small: AlgebraBasis, t4: AlgebraBasis) -> None:
+    """T_k lies in T4: every generator of T_k is constant on T4's orbital cells."""
+    gens = small.generator_matrices
+    if not _constant_on_cells(gens[0], t4.cell_labels):
+        raise CertificationError("A is not constant on an orbital cell; a stabilizer generator is not an automorphism")
+    if not _constant_on_cells(gens[1:], t4.cell_labels):
+        raise CertificationError("an idempotent generator is not constant on an orbital cell")
 
 
 def chain_with_algebras(
@@ -262,31 +319,41 @@ def chain_with_algebras(
 ) -> tuple[ChainReport, list[Optional[AlgebraBasis]]]:
     """Dims of the requested levels, adjacency equality flags, and the algebras.
 
-    The levels are built in ascending order with ``build_T``, each passed
-    the level below as ``below`` when that level was built: levels 1-3
-    extend its basis, so equal levels share one ``SpanBasis``, and level 4
-    stays the orbital span.  ``build_T`` certifies the containment of
-    ``below`` from partition facts (see the module docstring) before it
-    returns, so every flag between adjacent built levels is certified.
-    Without a given stabilizer, levels 3 and 4 each search it under the
-    node budget and what is left of time_budget, which covers the whole
-    chain.  A BudgetExceededError from a search ends the chain: that level
-    and every level above it stay None in the dims and the returned list,
-    as do the levels not requested.  For each strict step the first basis
-    matrix of the larger algebra outside the smaller one is kept as a
-    witness.
+    Level 4 is built first with ``build_T``, then levels 0-3 in ascending
+    order, each passed the level below as ``below`` when that level was
+    built and T4 as ``within`` when it was: level 1 is T0 + U⊗U, levels 2-3
+    extend the basis below, and every closure stops at dim T4, so equal
+    levels share one ``SpanBasis`` all the way up to T4's.  ``build_T``
+    certifies the containment of ``below`` and of T4 from partition facts
+    (see the module docstring) before it returns, so every flag between
+    adjacent built levels is certified.  Without a given stabilizer, level
+    4 and then level 3 each search it under the node budget and what is
+    left of time_budget, which covers the whole chain.  A
+    BudgetExceededError from either search leaves levels 3 and 4 None in
+    the dims and the returned list, as are the levels not requested; levels
+    0-2 are still built, without the cap when level 4 missed.  For each
+    strict step the first basis matrix of the larger algebra outside the
+    smaller one is kept as a witness.
     """
     deadline = None if time_budget is None else time.monotonic() + time_budget
     algs: list[Optional[AlgebraBasis]] = [None] * len(LEVELS)
-    for lvl in sorted(set(levels)):
+    wanted = sorted(set(levels), key=lambda lvl: (lvl < 4, lvl))
+    top = len(LEVELS)
+    for lvl in wanted:
+        if lvl >= top:
+            continue
         remaining = None if deadline is None else max(deadline - time.monotonic(), 0.01)
+        # T4 comes first, so it gets neither below nor within
         below = algs[lvl - 1] if lvl > 0 else None
         try:
             algs[lvl] = build_T(
-                lvl, graph, base, stab=stab, node_budget=node_budget, time_budget=remaining, below=below
+                lvl, graph, base, stab=stab, node_budget=node_budget, time_budget=remaining,
+                below=below, within=algs[4],
             )
         except BudgetExceededError:
-            break
+            # only levels 3 and 4 search, so a miss ends the chain above level 2
+            top = 3
+            algs[top:] = [None] * (len(LEVELS) - top)
     flags: list[Optional[bool]] = [None] * 4
     witnesses: dict[int, np.ndarray] = {}
     for lvl in range(4):

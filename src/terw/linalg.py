@@ -26,7 +26,13 @@ Bareiss 1968), a block of rows at a time:
 closure can start from ``below``, the basis of a unital algebra that lies
 inside the result (the level below in a chain of algebras); then only the
 generators outside it are multiplied by its rows, and when there are none
-the result is ``below`` itself.
+the result is ``below`` itself.  It can also stop at ``within``, a span
+known to contain the result, as soon as it reaches within's dimension.
+
+Two spans need no elimination at all, as their spanning rows already are
+the normal form: ``cell_span``, the indicators of a partition of the
+entries (an orbital algebra), and ``outer_square``, every u v^T with u and
+v in one row space.
 
 ``center_basis`` imposes commutation with a generating set of the algebra
 only, and reads each commutator at the d pivot entries of the basis: a
@@ -331,7 +337,44 @@ class SpanBasis(RowSpace):
         return f"SpanBasis(side={self.side}, dim={self.dim})"
 
 
-def algebra_closure(generators: Sequence, side: int | None = None, below: SpanBasis | None = None) -> SpanBasis:
+def cell_span(side: int, labels: np.ndarray) -> SpanBasis:
+    """Span of the 0/1 indicators of the cells of a partition of the entries.
+
+    ``labels[i]`` is the cell index (0, 1, ...) of entry i of a vectorized
+    side-by-side matrix.  Disjoint 0/1 rows sorted by their first entry
+    already are the reduced echelon form, with those first entries as
+    pivots, so no elimination runs.
+    """
+    first = np.unique(labels, return_index=True)[1]
+    order = np.argsort(first)
+    basis = SpanBasis(side)
+    basis.rows = (labels[None, :] == order[:, None]).astype(np.int64)
+    basis._piv = first[order].astype(np.intp)
+    return basis
+
+
+def outer_square(space: RowSpace) -> SpanBasis:
+    """Span of every u v^T with u, v in a row space U of width n (U⊗U).
+
+    The outer products of U's basis rows, in row-major order of (a, b),
+    already are the reduced echelon form: u_a v_b^T has pivot p_a*n + p_b,
+    its entry u_c[p_a]*u_d[p_b] there vanishes unless (c, d) = (a, b), the
+    pivot entry is positive, and the content of an outer product is the
+    product of the contents, 1.
+    """
+    n, u, piv = space.width, space.rows, space._piv
+    basis = SpanBasis(n)
+    basis.rows = _fit(exact_matmul(u[:, None, :, None], u[None, :, None, :]).reshape(-1, n * n))
+    basis._piv = (piv[:, None] * n + piv[None, :]).reshape(-1)
+    return basis
+
+
+def algebra_closure(
+    generators: Sequence,
+    side: int | None = None,
+    below: SpanBasis | None = None,
+    within: SpanBasis | None = None,
+) -> SpanBasis:
     """Basis of the smallest unital algebra containing the generators.
 
     The span starts from ``below``, the basis of a unital algebra that must
@@ -344,6 +387,11 @@ def algebra_closure(generators: Sequence, side: int | None = None, below: SpanBa
     it holds every word; the echelon normal form makes the basis
     independent of the seed and the order of work.  When no generator lies
     outside ``below``, the result is ``below`` itself.
+
+    ``within`` is the basis of a span that the caller knows (or certifies
+    afterwards) to contain the result.  The closure then stops as soon as
+    its span has within's dimension, and returns ``within`` itself: a
+    subspace of equal dimension is the whole span.
     """
     gens = [as_int_matrix(g, side) for g in generators]
     if side is None:
@@ -354,7 +402,10 @@ def algebra_closure(generators: Sequence, side: int | None = None, below: SpanBa
         raise ValueError("generators must share one matrix size")
     if below is None:
         below = SpanBasis(side)
-        below.insert_block(np.eye(side, dtype=np.int64).reshape(1, side * side))
+        below.insert(np.eye(side, dtype=np.int64))
+    cap = None if within is None else within.dim
+    if below.dim == cap:
+        return within
     if not gens:
         return below
     g_stack = np.stack(gens)
@@ -366,10 +417,10 @@ def algebra_closure(generators: Sequence, side: int | None = None, below: SpanBa
     prods = exact_matmul(g_stack[new][:, None], below.rows.reshape(1, -1, side, side))
     layer = basis.insert_block(prods.reshape(-1, side * side))
     g_stack = g_stack[:, None]
-    while len(layer):
+    while len(layer) and basis.dim != cap:
         prods = exact_matmul(g_stack, layer.reshape(1, -1, side, side))
         layer = basis.insert_block(prods.reshape(-1, side * side))
-    return basis
+    return within if basis.dim == cap else basis
 
 
 def _left_nullspace_combos(rows: np.ndarray) -> np.ndarray:

@@ -8,6 +8,7 @@ scans; every timing budget is asserted.
 
 import json
 import math
+import pathlib
 import time
 
 from oracles import (
@@ -199,6 +200,8 @@ def test_criterion_10_exhaustive_scan(corpus_file_n7):
     out1 = emit_report(scan_corpus(corpus_file_n7, filter="all", jobs=1), "jsonl")
     out8 = emit_report(scan_corpus(corpus_file_n7, filter="all", jobs=8), "jsonl")
     assert out1 == out8, "scan output must not depend on the worker count"
+    reference = pathlib.Path(__file__).resolve().parents[1] / "bench" / "reference" / "scan_n7.jsonl"
+    assert out1 == reference.read_bytes(), "scan output must match the committed n <= 7 reference"
 
     rows = [json.loads(line) for line in out1.splitlines()]
     assert all(r["status"] == "ok" for r in rows)

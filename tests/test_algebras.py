@@ -281,8 +281,9 @@ class TestClosureAgainstRowwiseOracle:
 
 
 class TestSeededChain:
-    """Levels 1-3 of the chain extend the level below; each equals build_T
-    from scratch row for row, and equal levels share one basis object."""
+    """T4 comes first, levels 1-3 of the chain extend the level below and
+    stop at dim T4; each equals build_T from scratch row for row, and equal
+    levels share one basis object."""
 
     @staticmethod
     def _check(graph, base, levels=algebras.LEVELS, stab=None):
@@ -304,7 +305,7 @@ class TestSeededChain:
         assert sorted(report.witnesses) == sorted(witnesses), (graph.n, base)
         for lvl, w in witnesses.items():
             assert report.witnesses[lvl].reshape(-1).tolist() == w.tolist(), (graph.n, base, lvl)
-        for lvl in range(1, 4):
+        for lvl in range(1, 5):
             if algs[lvl - 1] is not None and algs[lvl] is not None:
                 assert (algs[lvl].basis is algs[lvl - 1].basis) == report.equal_next[lvl - 1]
         return algs
@@ -320,7 +321,7 @@ class TestSeededChain:
         g, pc = gen_paley(q)
         self._check(g, 0, stab=paley_stabilizer_generators(pc))
 
-    @pytest.mark.parametrize("levels", [(1, 3), (2, 3), (0, 2)])
+    @pytest.mark.parametrize("levels", [(1, 3), (2, 3), (0, 2), (0, 4), (1, 4), (3, 4), (1, 2, 4)])
     def test_subset_levels(self, levels):
         for graph, base in [(gen_delta(5), 4), (gen_delta(6), 4), (gen_path(5), 1), (gen_star(5), 1)]:
             self._check(graph, base, levels=levels)
@@ -332,7 +333,7 @@ class TestSeededChain:
         assert algs[2].basis is algs[3].basis
         assert algs[1].basis is not algs[2].basis
         algs = self._check(gen_cycle(3), 0)
-        assert algs[1].basis is algs[2].basis is algs[3].basis
+        assert algs[1].basis is algs[2].basis is algs[3].basis is algs[4].basis
 
     def test_below_must_be_the_level_below(self):
         g = gen_delta(5)
@@ -340,6 +341,8 @@ class TestSeededChain:
         for level, base in [(3, 4), (2, 3), (1, 4), (0, 4)]:
             with pytest.raises(ValueError):
                 build_T(level, g, base, below=t1)
+        with pytest.raises(ValueError):
+            build_T(4, g, 4, below=build_T(3, g, 4))
 
     @pytest.mark.parametrize("levels", [algebras.LEVELS, (2, 3)])
     def test_seeded_level_is_certified(self, monkeypatch, levels):
@@ -350,6 +353,21 @@ class TestSeededChain:
         )
         with pytest.raises(CertificationError, match="meets two distance cells"):
             chain_with_algebras(gen_delta(5), 4, levels=levels)
+
+    def test_level_inside_T4_is_certified(self, monkeypatch):
+        # swapping 0 and 1 fixes the base 4 of Delta(5) but is no
+        # automorphism: its orbitals pass T4's own certificate, and only the
+        # containment check of level 0 sees that A is not constant on them
+        monkeypatch.setattr(algebras, "stabilizer", lambda *a, **k: PermGroup(5, (Perm((1, 0, 2, 3, 4)),)))
+        with pytest.raises(CertificationError, match="A is not constant on an orbital cell"):
+            chain_with_algebras(gen_delta(5), 4, levels=(0, 4))
+
+    def test_within_must_be_T4(self):
+        g = gen_delta(5)
+        t4, t1 = build_T(4, g, 4), build_T(1, g, 4)
+        for level, base, within in [(0, 3, t4), (4, 4, t4), (2, 4, t1)]:
+            with pytest.raises(ValueError):
+                build_T(level, g, base, within=within)
 
 
 # partitions of the pairs of 3 points that are not the orbitals of the group
@@ -395,6 +413,16 @@ def unclosed_center():
     center_basis(span)
 
 
+def with_bad_stabilizer():
+    # swapping 0 and 1 fixes the base 4 of Delta(5) but is no automorphism
+    search = algebras.stabilizer
+    algebras.stabilizer = lambda *a, **k: PermGroup(5, (Perm((1, 0, 2, 3, 4)),))
+    try:
+        chain_with_algebras(gen_delta(5), 4, levels=(0, 4))
+    finally:
+        algebras.stabilizer = search
+
+
 def with_bad_orbits(levels):
     # an orbit meeting both distance cells of Delta(5) based at 4
     orbits = algebras.vertex_orbits
@@ -411,6 +439,7 @@ cases = [
     lambda: chain_with_algebras(gen_cycle(5), 0, stab=PermGroup(5, (Perm((1, 2, 3, 4, 0)),))),
     lambda: with_bad_orbits(algebras.LEVELS),
     lambda: with_bad_orbits((2, 3)),
+    with_bad_stabilizer,
 ]
 print(__debug__, [raises(case) for case in cases] + [raises(unclosed_center, ValueError)])
 """
@@ -422,7 +451,7 @@ def test_checks_run_under_python_O():
         [sys.executable, "-O", "-c", _UNDER_O], env=env, capture_output=True, text=True, timeout=120
     )
     assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["False", "[True,", "True,", "True,", "True,", "True,", "True]"]
+    assert out.stdout.split() == ["False", "[True,", "True,", "True,", "True,", "True,", "True,", "True]"]
 
 
 class TestCorner:

@@ -11,8 +11,10 @@ from terw.linalg import (
     RowSpace,
     SpanBasis,
     algebra_closure,
+    cell_span,
     center_basis,
     exact_matmul,
+    outer_square,
     row_space_rank,
 )
 
@@ -158,6 +160,16 @@ def test_seeded_closure_matches_closure_from_identity(case):
     assert seeded.rows.tolist() == oracle.rows.tolist()
     # no generator outside the seed: the seed itself comes back
     assert (seeded is below) == (seeded.dim == below.dim)
+    # a cap at the closure's own span returns that span object; a cap at all
+    # of M_n changes nothing unless the closure is M_n
+    assert algebra_closure(big, below=below, within=oracle) is oracle
+    n = oracle.side
+    full = SpanBasis(n)
+    full.insert_block(np.eye(n * n, dtype=np.int64))
+    capped = algebra_closure(big, below=below, within=full)
+    assert capped.rows.dtype == oracle.rows.dtype
+    assert capped.rows.tolist() == oracle.rows.tolist()
+    assert (capped is full) == (oracle.dim == n * n)
 
 
 def test_seeded_closure_of_object_rows():
@@ -170,6 +182,47 @@ def test_seeded_closure_of_object_rows():
     assert seeded.rows.tolist() == algebra_closure([a, e0]).rows.tolist()
     with pytest.raises(ValueError):
         algebra_closure([e0], below=SpanBasis(4))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(st.just(n), st.lists(st.integers(0, 5), min_size=n * n, max_size=n * n))))
+def test_cell_span_is_the_normal_form(case):
+    n, raw = case
+    # cells 0, 1, ... numbered backwards, so they need not come in order of
+    # their first entry
+    labels = np.unique(raw, return_inverse=True)[1].astype(np.int64)
+    labels = labels.max() - labels
+    oracle = SpanBasis(n)
+    oracle.insert_block((labels[None, :] == np.arange(labels.max() + 1)[:, None]).astype(np.int64))
+    span = cell_span(n, labels)
+    assert span.pivots == oracle.pivots
+    assert span.rows.dtype == oracle.rows.dtype
+    assert span.rows.tolist() == oracle.rows.tolist()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda n: st.lists(
+            st.lists(st.one_of(st.integers(-3, 3), st.integers(-(2**40), 2**40)), min_size=n, max_size=n),
+            min_size=1,
+            max_size=n,
+        )
+    )
+)
+def test_outer_square_is_the_normal_form(vectors):
+    u = np.array(vectors, dtype=np.int64)
+    n = u.shape[1]
+    module = RowSpace(n)
+    module.insert_block(u)
+    oracle = SpanBasis(n)
+    outer = exact_matmul(u[:, None, :, None], u[None, :, None, :])
+    oracle.insert_block(outer.reshape(-1, n * n))
+    square = outer_square(module)
+    assert square.dim == module.dim**2 == oracle.dim
+    assert square.pivots == oracle.pivots
+    assert square.rows.dtype == oracle.rows.dtype
+    assert square.rows.tolist() == oracle.rows.tolist()
 
 
 def test_big_integer_entries_stay_exact():

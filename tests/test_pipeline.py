@@ -65,18 +65,20 @@ class TestClassify:
             classify_graph(gen_path(4), bases=[0], levels=[2, 3])
 
     def test_budget_miss_builds_each_level_once(self, monkeypatch):
-        closures = []
-        closure = algebras.algebra_closure
+        # level 4 searches first and misses; levels 0-2 are then built once
+        # each, and level 3 (the second search) is never tried
+        built = []
+        build = algebras.build_T
 
-        def counted(*args, **kwargs):
-            closures.append(1)
-            return closure(*args, **kwargs)
+        def counted(level, *args, **kwargs):
+            built.append(level)
+            return build(level, *args, **kwargs)
 
-        monkeypatch.setattr(algebras, "algebra_closure", counted)
+        monkeypatch.setattr(algebras, "build_T", counted)
         (rec,) = classify_graph(gen_delta(6), bases=[4], node_budget=2)
         assert rec.status == "stabilizer-budget-exceeded"
         assert rec.dims[3] is None and rec.eq_flags[2] is None
-        assert len(closures) == 3
+        assert built == [4, 0, 1, 2]
 
     def test_record_validation(self):
         rec = ScanRecord("Bw", 3, 0, 3, (1, 2, 2, 2, 2), (False, True, True, True), None, "ok")
