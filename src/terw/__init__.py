@@ -41,17 +41,11 @@ from .algebras import (
     idempotent_for_set,
     build_T,
     chain_with_algebras,
-    corner,
-    is_commutative,
-    principal_row_dim,
-    pendant_reduction_check,
 )
 from .structure import (
     WedderburnType,
     WedderburnDecomposition,
     wedderburn_decompose,
-    block_of_idempotent,
-    is_thin,
 )
 from .pipeline import ScanRecord, classify_graph, scan_corpus, emit_report
 

@@ -21,6 +21,7 @@ from typing import Optional
 from .algebras import build_T
 from .errors import BudgetExceededError, Graph6Error
 from .graphs import (
+    GRAPH6_HEADER,
     Graph,
     gen_cycle,
     gen_delta,
@@ -98,7 +99,7 @@ def _load_graphs(spec: str) -> list[tuple[str, Graph]]:
     A bare '@' is the graph6 of the one-vertex graph, not a file.
     """
     if spec == "@" or not spec.startswith("@"):
-        return [(spec, parse_graph6(spec))]
+        return [(spec.strip().removeprefix(GRAPH6_HEADER.decode()), parse_graph6(spec))]
     out = []
     with open(spec[1:], "rb") as fh:
         for lineno, line in iter_graph6_lines(fh):

@@ -48,6 +48,8 @@ class Graph:
     def from_bits(cls, bits: Iterable[int]) -> "Graph":
         g = cls.__new__(cls)
         bits = tuple(bits)
+        if not bits:
+            raise ValueError("graph needs at least one vertex")
         g.n = len(bits)
         g._bits = bits
         mask = (1 << g.n) - 1
@@ -209,16 +211,16 @@ def write_graph6(graph: Graph) -> bytes:
 def iter_graph6_lines(lines: Iterable[bytes | str]) -> Iterable[tuple[int, bytes]]:
     """Yield (line_number, payload) for each non-blank graph6 line.
 
-    Blank lines and standalone '>>graph6<<' header lines are skipped; a
-    header glued to the first value is handled by parse_graph6 itself.
+    A '>>graph6<<' header is cut off the payload, whether it stands alone
+    on its line or is glued to the first value; blank lines and lines that
+    held only the header are skipped.
     """
     for lineno, raw in enumerate(lines, start=1):
         if isinstance(raw, str):
             raw = raw.encode("ascii")
-        s = raw.strip()
-        if not s or s == GRAPH6_HEADER:
-            continue
-        yield lineno, s
+        s = raw.strip().removeprefix(GRAPH6_HEADER)
+        if s:
+            yield lineno, s
 
 
 # ---------------------------------------------------------------------------

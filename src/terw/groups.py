@@ -284,8 +284,7 @@ def _run_search(graph: Graph, init_cells: list[tuple[int, ...]], node_budget: in
     state = _SearchState(graph=graph, node_budget=node_budget, deadline=deadline)
     cells = _refine(graph._bits, init_cells)
     _search(state, cells, cells, True)
-    if not all(is_automorphism(graph, g) for g in state.gens):
-        raise CertificationError("search returned a permutation that is not an automorphism")
+    # _search appends a permutation only after is_automorphism passed at its leaf
     return PermGroup(n=graph.n, gens=tuple(state.gens), origin=origin)
 
 

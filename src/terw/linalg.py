@@ -492,12 +492,3 @@ def center_basis(basis: SpanBasis, gens: Sequence | None = None) -> SpanBasis:
     center = SpanBasis(n)
     center.insert_block(cands.reshape(len(cands), n * n))
     return center
-
-
-def row_space_rank(rows: Sequence[np.ndarray]) -> int:
-    """Exact rank of a list of integer row vectors of one common length."""
-    if not len(rows):
-        return 0
-    sp = RowSpace(len(rows[0]))
-    sp.insert_block(np.stack(rows))
-    return sp.dim

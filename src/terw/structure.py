@@ -1,4 +1,4 @@
-"""Wedderburn decomposition of a self-adjoint algebra basis, plus thinness.
+"""Wedderburn decomposition of a self-adjoint algebra basis.
 
 The pipeline is hybrid: everything countable (dimension, center, ranks of
 integer row spaces, memberships) is exact, while the spectral splitting is
@@ -24,9 +24,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .algebras import AlgebraBasis, corner, is_commutative
+from .algebras import AlgebraBasis
 from .errors import DecompositionError
-from .linalg import SpanBasis, center_basis, exact_matmul
+from .linalg import SpanBasis, center_basis
 
 # relative gap for clustering eigenvalues of the Hermitian central element
 _CLUSTER_REL_TOL = 1e-6
@@ -189,44 +189,3 @@ def wedderburn_decompose(
         projectors = [evecs[:, clusters[i]] @ evecs[:, clusters[i]].conj().T for i in order]
         return WedderburnDecomposition(type=wtype, projectors=projectors, center=center, seed=attempt_seed)
     raise DecompositionError(f"decomposition failed after {_MAX_SEED_RETRIES} attempts: {last_error}")
-
-
-def block_of_idempotent(
-    dec: WedderburnDecomposition,
-    algebra: AlgebraBasis | SpanBasis,
-    e: np.ndarray,
-) -> tuple[int, ...]:
-    """Indices of the blocks in which an idempotent has nonzero component.
-
-    The idempotent must lie in the algebra and satisfy e*e = e exactly; a
-    primitive idempotent yields a single index into dec.type.blocks.
-    """
-    basis = _as_span(algebra)
-    e = np.asarray(e)
-    if not basis.contains(e):
-        raise ValueError("matrix is not in the algebra span")
-    if np.any(exact_matmul(e, e) - e):
-        raise ValueError("matrix is not idempotent")
-    ef = e.astype(np.float64)
-    norm = np.linalg.norm(ef)
-    hits = []
-    for i, proj in enumerate(dec.projectors):
-        if np.linalg.norm(proj @ ef) > 1e-6 * max(norm, 1.0):
-            hits.append(i)
-    return tuple(hits)
-
-
-def is_thin(algebra: AlgebraBasis) -> Optional[bool]:
-    """Sufficient thinness certificate for a level-2 algebra.
-
-    True when the compression to every distance cell is commutative (then
-    each simple module meets each cell compression in dimension at most
-    one); None means the certificate does not apply, not that the algebra
-    fails to be thin.
-    """
-    if algebra.level != 2 or algebra.cells is None:
-        raise ValueError("thinness check needs a level-2 algebra with its distance cells")
-    for cell in algebra.cells[1:]:
-        if not is_commutative(corner(algebra, cell)):
-            return None
-    return True

@@ -14,7 +14,10 @@ regularity with its parameters, the complement and degree sequence, the
 full Paley automorphism group, permutation products, inverses and cycles,
 and group orders by orbit-stabilizer recursion, and the center of an
 algebra from full commutators with every basis element, where the package
-reads commutators with a generating set at the pivot entries.
+reads commutators with a generating set at the pivot entries.  Last, the
+analysis helpers no runtime path calls: corner compressions, exact
+commutativity, the rank of the base-vertex row space, the blocks an
+idempotent meets, a thinness certificate, and the pendant-vertex reduction.
 """
 
 from __future__ import annotations
@@ -30,10 +33,12 @@ from typing import NamedTuple, Optional
 import numpy as np
 import sympy
 
+from terw.algebras import AlgebraBasis, build_T, idempotent_for_set
 from terw.errors import CertificationError
 from terw.graphs import Graph, PaleyConstruction
 from terw.groups import Perm, PermGroup, is_automorphism, paley_stabilizer_generators
 from terw.linalg import RowSpace, SpanBasis, as_int_matrix, exact_matmul
+from terw.structure import WedderburnDecomposition, wedderburn_decompose
 
 # absolute gap below which two numerically computed adjacency eigenvalues
 # are treated as equal; misclustering is caught by the exact distinct count
@@ -416,6 +421,144 @@ def sympy_center_dim(basis_mats: list[np.ndarray]) -> int:
          for i in range(d) for r in range(n) for c in range(n)]
     )
     return d - system.rank()
+
+
+# ---------------------------------------------------------------------------
+# corners, commutativity, module ranks, thinness and the pendant reduction
+# ---------------------------------------------------------------------------
+
+def row_space_rank(rows) -> int:
+    """Exact rank of a list of integer row vectors of one common length."""
+    if not len(rows):
+        return 0
+    sp = RowSpace(len(rows[0]))
+    sp.insert_block(np.stack(rows))
+    return sp.dim
+
+
+def corner(algebra: AlgebraBasis | SpanBasis, vertices) -> SpanBasis:
+    """Basis of E_Y * A * E_Y: every basis element compressed to the subset."""
+    basis = algebra.basis if isinstance(algebra, AlgebraBasis) else algebra
+    n = basis.side
+    e = idempotent_for_set(n, vertices)
+    out = SpanBasis(n)
+    out.insert_block(exact_matmul(exact_matmul(e, basis.rows.reshape(-1, n, n)), e).reshape(basis.dim, n * n))
+    return out
+
+
+def is_commutative(basis: SpanBasis | AlgebraBasis) -> bool:
+    """All pairwise commutators of basis elements vanish (exact)."""
+    if isinstance(basis, AlgebraBasis):
+        basis = basis.basis
+    mats = basis.matrices()
+    for i in range(len(mats)):
+        for j in range(i + 1, len(mats)):
+            if np.any(exact_matmul(mats[i], mats[j]) - exact_matmul(mats[j], mats[i])):
+                return False
+    return True
+
+
+def principal_row_dim(algebra: AlgebraBasis, base: Optional[int] = None) -> int:
+    """Rank of the base-vertex row space {row x0 of B : B in basis}.
+
+    This is the dimension of the module generated by the base idempotent.
+    """
+    if base is None:
+        base = algebra.base
+    if algebra.level < 1:
+        raise ValueError("needs a level >= 1 algebra")
+    return row_space_rank(algebra.basis.rows.reshape(algebra.dim, algebra.n, algebra.n)[:, base])
+
+
+def block_of_idempotent(
+    dec: WedderburnDecomposition,
+    algebra: AlgebraBasis | SpanBasis,
+    e: np.ndarray,
+) -> tuple[int, ...]:
+    """Indices of the blocks in which an idempotent has nonzero component.
+
+    The idempotent must lie in the algebra and satisfy e*e = e exactly; a
+    primitive idempotent yields a single index into dec.type.blocks.
+    """
+    basis = algebra.basis if isinstance(algebra, AlgebraBasis) else algebra
+    e = np.asarray(e)
+    if not basis.contains(e):
+        raise ValueError("matrix is not in the algebra span")
+    if np.any(exact_matmul(e, e) - e):
+        raise ValueError("matrix is not idempotent")
+    ef = e.astype(np.float64)
+    norm = np.linalg.norm(ef)
+    hits = []
+    for i, proj in enumerate(dec.projectors):
+        if np.linalg.norm(proj @ ef) > 1e-6 * max(norm, 1.0):
+            hits.append(i)
+    return tuple(hits)
+
+
+def is_thin(algebra: AlgebraBasis) -> Optional[bool]:
+    """Sufficient thinness certificate for a level-2 algebra.
+
+    True when the compression to every distance cell is commutative (then
+    each simple module meets each cell compression in dimension at most
+    one); None means the certificate does not apply, not that the algebra
+    fails to be thin.
+    """
+    if algebra.level != 2 or algebra.cells is None:
+        raise ValueError("thinness check needs a level-2 algebra with its distance cells")
+    for cell in algebra.cells[1:]:
+        if not is_commutative(corner(algebra, cell)):
+            return None
+    return True
+
+
+def _delete_vertex(graph: Graph, v: int) -> tuple[Graph, list[int]]:
+    """Graph minus one vertex; returns it plus the old->new index map."""
+    keep = [u for u in range(graph.n) if u != v]
+    newidx = {u: i for i, u in enumerate(keep)}
+    edges = [(newidx[a], newidx[b]) for a, b in graph.edges() if v not in (a, b)]
+    return Graph(graph.n - 1, edges), keep
+
+
+def pendant_reduction_check(graph: Graph, pendant: int, level: int = 2, **kwargs) -> bool:
+    """Compressing away a pendant base vertex matches the smaller graph's algebra.
+
+    For a degree-one base vertex x0 with neighbor x1, the compression of the
+    level-2 or level-3 algebra to the other vertices equals the same algebra
+    of the vertex-deleted graph based at x1, both as exact spans and in
+    Wedderburn type up to the block of the neighbor idempotent growing by
+    one.
+    """
+    if level not in (2, 3):
+        raise ValueError("reduction applies to levels 2 and 3")
+    if graph.degree(pendant) != 1:
+        raise ValueError(f"vertex {pendant} is not pendant")
+    x1 = graph.neighbors(pendant)[0]
+    big = build_T(level, graph, pendant, **kwargs)
+    small_graph, keep = _delete_vertex(graph, pendant)
+    x1_small = keep.index(x1)
+    small = build_T(level, small_graph, x1_small, **kwargs)
+    compressed = corner(big, [u for u in range(graph.n) if u != pendant])
+    # embed the smaller algebra's basis into the big matrix space
+    embedded = SpanBasis(graph.n)
+    for m in small.basis.matrices():
+        full = np.zeros((graph.n, graph.n), dtype=m.dtype)
+        for i, u in enumerate(keep):
+            for j, w in enumerate(keep):
+                full[u, w] = m[i, j]
+        embedded.insert(full)
+    if embedded.dim != compressed.dim:
+        return False
+    if not all(compressed.contains(m) for m in embedded.matrices()):
+        return False
+    # type bookkeeping: the block housing the neighbor idempotent grows by one
+    dec_small = wedderburn_decompose(small)
+    dec_big = wedderburn_decompose(big)
+    e_x1 = idempotent_for_set(small_graph.n, [x1_small])
+    (blk,) = block_of_idempotent(dec_small, small, e_x1)
+    grown = [n for n, _ in dec_small.type.blocks]
+    grown[blk] += 1
+    sizes_big = sorted(n for n, _ in dec_big.type.blocks)
+    return sorted(grown) == sizes_big
 
 
 # ---------------------------------------------------------------------------

@@ -14,9 +14,11 @@ import time
 from oracles import (
     brute_automorphisms,
     commutator_center,
+    corner,
     exact_wedderburn_type,
     find_isomorphism,
     group_order,
+    is_commutative,
     is_strongly_regular,
     spectrum_summary,
 )
@@ -30,7 +32,7 @@ from terw.graphs import (
     parse_graph6,
 )
 from terw.groups import automorphism_group, orbitals, paley_stabilizer_generators, stabilizer
-from terw.algebras import build_T, chain_with_algebras, corner, is_commutative
+from terw.algebras import build_T, chain_with_algebras
 from terw.linalg import SpanBasis
 from terw.pipeline import emit_report, scan_corpus
 from terw.structure import wedderburn_decompose

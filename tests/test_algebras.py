@@ -20,19 +20,18 @@ from terw.groups import (
     paley_stabilizer_generators,
     vertex_orbits,
 )
-from terw.algebras import (
-    build_T,
-    chain_with_algebras,
-    corner,
-    idempotent_for_set,
-    is_commutative,
-    pendant_reduction_check,
-    principal_row_dim,
-)
+from terw.algebras import build_T, chain_with_algebras, idempotent_for_set
 from terw.errors import CertificationError
 from terw.linalg import SpanBasis, algebra_closure, exact_matmul
 
-from oracles import is_multiplicatively_closed, rowwise_closure
+from oracles import (
+    corner,
+    is_commutative,
+    is_multiplicatively_closed,
+    pendant_reduction_check,
+    principal_row_dim,
+    rowwise_closure,
+)
 
 
 def _mat(rows):
@@ -531,18 +530,27 @@ class TestPendantReduction:
 
 
 class TestStructuralInvariants:
-    def test_transpose_closure_explicit(self, corpus):
+    @staticmethod
+    def _algebras(corpus):
+        """Every level of each graph, from scratch and from the seeded, capped chain.
+
+        The builders do not check these facts, which hold by construction,
+        so the tests check both routes.
+        """
         for g in corpus[5][:10]:
             for lvl in range(5):
-                alg = build_T(lvl, g, 0)
-                for m in alg.basis.matrices():
-                    assert alg.contains(m.T.copy())
+                yield g, build_T(lvl, g, 0)
+            for alg in chain_with_algebras(g, 0)[1]:
+                yield g, alg
+
+    def test_transpose_closure_explicit(self, corpus):
+        for _, alg in self._algebras(corpus):
+            for m in alg.basis.matrices():
+                assert alg.contains(m.T.copy())
 
     def test_identity_membership(self, corpus):
-        for g in corpus[5][:10]:
-            for lvl in range(5):
-                alg = build_T(lvl, g, 0)
-                assert alg.contains(np.eye(g.n, dtype=np.int64))
+        for g, alg in self._algebras(corpus):
+            assert alg.contains(np.eye(g.n, dtype=np.int64))
 
     def test_level0_dim_equals_distinct_eigenvalues(self, corpus):
         from oracles import spectrum_summary

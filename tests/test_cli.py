@@ -62,6 +62,22 @@ def test_compute_from_file(capsys, tmp_path):
     assert len(lines) > 2
 
 
+def test_record_graph6_is_the_bare_value(capsys, tmp_path):
+    # a '>>graph6<<' header or surrounding whitespace stays out of the record on every input path
+    p = tmp_path / "head.g6"
+    p.write_bytes(b">>graph6<<Bw\n")
+    corpus_out = tmp_path / "o.jsonl"
+    assert run(capsys, "scan", str(p), "--jobs", "1", "--out", str(corpus_out))[0] == 0
+    outputs = [corpus_out.read_text()]
+    for spec in (f"@{p}", ">>graph6<<Bw", " Bw\n"):
+        code, out, _ = run(capsys, "compute", "--graph", spec, "--format", "jsonl")
+        assert code == 0
+        outputs.append(out)
+    for out in outputs:
+        (row,) = [json.loads(line) for line in out.splitlines()]
+        assert row["graph6"] == "Bw"
+
+
 def test_scan_and_exit_codes(capsys, tmp_path):
     corpus = tmp_path / "c.g6"
     corpus.write_bytes(write_graph6(gen_delta(5)) + b"\n")

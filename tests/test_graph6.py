@@ -78,6 +78,15 @@ def test_iter_graph6_lines_skips_blank_and_header():
     assert [lineno for lineno, _ in got] == [3, 5]
 
 
+def test_iter_graph6_lines_cuts_glued_header():
+    assert list(iter_graph6_lines([">>graph6<<Bw\n", "Bg"])) == [(1, b"Bw"), (2, b"Bg")]
+
+
+def test_from_bits_rejects_empty_vertex_set():
+    with pytest.raises(ValueError, match="at least one vertex"):
+        Graph.from_bits(())
+
+
 def test_disconnected_round_trip():
     g = Graph(4, [(0, 1)])  # parser must accept disconnected graphs
     assert parse_graph6(write_graph6(g)) == g

@@ -15,10 +15,9 @@ from terw.linalg import (
     center_basis,
     exact_matmul,
     outer_square,
-    row_space_rank,
 )
 
-from oracles import commutator_center, is_multiplicatively_closed
+from oracles import commutator_center, is_multiplicatively_closed, row_space_rank
 
 
 def E(n, i, j):

@@ -132,6 +132,12 @@ class TestScan:
         assert stats.graphs == 2
         assert all(r.graph6 == "Bw" for r in recs)
 
+    def test_glued_header_stays_out_of_records(self, tmp_path):
+        p = tmp_path / "head.g6"
+        p.write_bytes(b">>graph6<<Bw\n")
+        (rec,) = scan_corpus(p, jobs=1)
+        assert rec.graph6 == "Bw"
+
     def test_deterministic_across_jobs(self, tmp_path, corpus):
         lines = [write_graph6(g) for g in corpus[5]]
         p = tmp_path / "n5.g6"

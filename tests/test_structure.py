@@ -4,13 +4,19 @@ import random
 import numpy as np
 import pytest
 
-from oracles import commutator_center, exact_wedderburn_type, sympy_center_dim
+from oracles import (
+    block_of_idempotent,
+    commutator_center,
+    exact_wedderburn_type,
+    is_thin,
+    sympy_center_dim,
+)
 from terw.errors import DecompositionError
 from terw.graphs import gen_cycle, gen_delta, gen_paley, gen_path, gen_star
 from terw.groups import paley_stabilizer_generators
 from terw.algebras import build_T, idempotent_for_set
 from terw.linalg import SpanBasis, algebra_closure, center_basis
-from terw.structure import WedderburnType, block_of_idempotent, is_thin, wedderburn_decompose
+from terw.structure import WedderburnType, wedderburn_decompose
 
 
 def E(n, i, j):
