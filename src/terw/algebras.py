@@ -7,8 +7,8 @@ Levels, for a connected graph with base vertex x0:
   2  generated by A and the diagonal idempotents of the distance partition
   3  generated by A and the idempotents of the stabilizer's vertex orbits
   4  span of the 0/1 orbital matrices of the stabilizer (the centralizer
-     algebra); read off its cells, whose indicators sorted by smallest pair
-     code already are the reduced echelon basis
+     algebra); read off its orbital labels, whose cell indicators sorted by
+     smallest pair code already are the reduced echelon basis
 
 Every level is a unital algebra closed under transpose and contains the
 previous one.  Each fact either holds by construction or is certified on
@@ -21,16 +21,18 @@ elimination:
     whose constructors force symmetry, and the idempotents are diagonal.
     Each holds the identity: a closure starts from span{I} or from the
     level below, T1 takes in T0's rows, and a level that reaches dim T4
-    takes T4's basis, which holds I as the sum of its diagonal cells
-    (``_certify_commutant``).  Neither fact is re-checked;
-  * level 4 is the commutant of the stabilizer, hence a unital
-    transpose-closed algebra: its cells partition the vertex pairs, each is
-    one generator orbit (``orbitals``), every stabilizer generator maps each
-    cell onto itself, the diagonal pairs form whole cells and the transpose
-    of a cell is a cell;
+    takes T4's basis, which holds I as the sum of its diagonal cells.
+    Neither fact is re-checked;
+  * level 4 is a unital transpose-closed algebra by construction, the
+    commutant of the stabilizer: its cells are the orbits of a group of
+    bijections on the vertex pairs (``orbitals``), so they partition the
+    pairs, every generator maps each cell onto itself, a diagonal pair's
+    orbit is diagonal (so I is a sum of cells), and transposing commutes
+    with the diagonal action (so the transpose of a cell is a cell);
   * T_k lies in the algebra T_{k+1} once T_k's generators do: A generates
-    levels 0-3, distance cell 0 is {x0}, and each stabilizer orbit lies
-    inside one distance cell;
+    levels 0-3 and distance cell 0 is {x0} (the BFS starts there), so only
+    the fact that each stabilizer orbit lies inside one distance cell is
+    checked;
   * T_k (k <= 3) lies in T4 once A and each idempotent generator of T_k
     are constant on every orbital cell; for T3 this is the step to T4.
 
@@ -61,7 +63,6 @@ and of its containment in T4 have passed.
 
 from __future__ import annotations
 
-import itertools
 import time
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -101,10 +102,10 @@ class AlgebraBasis:
     # the (k, n, n) stack of a generating set of the algebra: the named
     # generators at levels 0-3, the basis itself at level 4
     generator_matrices: np.ndarray
-    # distance cells (level 2), orbit cells (level 3), or orbital cells as
-    # pair codes x*n+y (level 4)
+    # distance cells (level 2) or orbit cells (level 3); None at level 4,
+    # whose partition is cell_labels
     cells: Optional[tuple[tuple[int, ...], ...]] = None
-    # level 4: the orbital cell index of each pair code x*n+y
+    # level 4: the orbital index of each pair code x*n+y
     cell_labels: Optional[np.ndarray] = None
 
     @property
@@ -115,37 +116,12 @@ class AlgebraBasis:
         return self.basis.contains(mat)
 
 
-def _cell_labels(n: int, cells) -> np.ndarray:
-    """Cell index of each pair code x*n+y; the cells must partition the pairs."""
-    sizes = [len(cell) for cell in cells]
-    codes = np.fromiter(itertools.chain.from_iterable(cells), dtype=np.int64, count=sum(sizes))
-    if np.bincount(codes, minlength=n * n).max() > 1:
-        raise CertificationError("orbital cells overlap")
-    labels = np.full(n * n, -1, dtype=np.int64)
-    labels[codes] = np.repeat(np.arange(len(cells)), sizes)
-    if np.any(labels < 0):
-        raise CertificationError("orbital cells miss a vertex pair")
-    return labels
-
-
 def _constant_on_cells(mats: np.ndarray, labels: np.ndarray) -> bool:
     """A matrix, or each matrix of a stack, is constant on every cell."""
     flat = mats.reshape(-1, labels.size)
     first = np.empty((len(flat), int(labels.max()) + 1), dtype=flat.dtype)
     first[:, labels] = flat
     return np.array_equal(first[:, labels], flat)
-
-
-def _certify_commutant(group: PermGroup, labels: np.ndarray) -> None:
-    n = group.n
-    for g in group.gens:
-        img = np.asarray(g.images, dtype=np.int64)
-        if not np.array_equal(labels[(img[:, None] * n + img[None, :]).reshape(-1)], labels):
-            raise CertificationError("a stabilizer generator moves an orbital cell")
-    if np.count_nonzero(np.isin(labels, labels[:: n + 1])) != n:
-        raise CertificationError("diagonal pairs do not form whole orbital cells")
-    if not _constant_on_cells(labels.reshape(n, n).T, labels):
-        raise CertificationError("the transpose of an orbital cell is not a cell")
 
 
 def build_T(
@@ -163,8 +139,9 @@ def build_T(
 
     Level 0 ignores the base vertex (the adjacency algebra does not depend
     on it) but records it.  Levels 3 and 4 need the base-vertex stabilizer:
-    pass one in (e.g. an analytic Paley group) or it is found by search.
-    Level 4 is read off its orbital cells, which already are the normal
+    pass one in (e.g. an analytic Paley group) or it is found by search; a
+    given one whose generator moves the base vertex is a ValueError.  Level
+    4 is read off its orbital labels, whose cells already are the normal
     form.
 
     ``below`` is the level-(level-1) algebra of the same (graph, base),
@@ -194,12 +171,15 @@ def build_T(
     n = graph.n
     a = graph.adjacency_matrix()
     cells = labels = None
-    if level >= 3:
-        group = stab if stab is not None else stabilizer(
-            graph, base, node_budget=node_budget, time_budget=time_budget
-        )
+    if level >= 3 and stab is None:
+        group = stabilizer(graph, base, node_budget=node_budget, time_budget=time_budget)
+    elif level >= 3:
+        # the search fixes the base by construction; a given group need not
+        group = stab
         if group.n != n:
             raise ValueError(f"stabilizer acts on {group.n} points, the graph has {n}")
+        if any(g(base) != base for g in group.gens):
+            raise ValueError(f"a stabilizer generator moves the base vertex {base}")
     if level == 0:
         gens = [a]
         names = ("A",)
@@ -216,13 +196,13 @@ def build_T(
         gens = [a] + [idempotent_for_set(n, c) for c in cells]
         names = ("A",) + tuple(f"E[Y{k}]" for k in range(len(cells)))
     else:
-        cells = tuple(tuple(x * n + y for x, y in cell) for cell in orbitals(group).cells)
-        labels = _cell_labels(n, cells)
-        _certify_commutant(group, labels)
+        # no check: the orbits of a group of bijections partition the pairs, every generator preserves
+        # them, a diagonal pair's orbit is diagonal, and transposing commutes with the diagonal action
+        labels = orbitals(group).labels
         basis = cell_span(n, labels)
         # a basis generates its own span
         gens = basis.rows.reshape(-1, n, n)
-        names = tuple(f"A[orbital {i}]" for i in range(len(cells)))
+        names = tuple(f"A[orbital {i}]" for i in range(basis.dim))
     if level == 1 and below is not None:
         # T1 = T0 + U⊗U, U = T0 e_x0 (see the module docstring)
         module = RowSpace(n)
@@ -252,7 +232,7 @@ def build_T(
         cell_labels=labels,
     )
     if below is not None:
-        _certify_step(graph, below, alg)
+        _certify_step(below, alg)
     if within is not None:
         _certify_within(alg, within)
     return alg
@@ -273,19 +253,15 @@ class ChainReport:
     witnesses: dict[int, np.ndarray]
 
 
-def _certify_step(graph: Graph, small: AlgebraBasis, big: AlgebraBasis) -> None:
+def _certify_step(small: AlgebraBasis, big: AlgebraBasis) -> None:
     """T_k lies in T_{k+1} for k < 3: every generator of T_k lies in T_{k+1}.
 
-    Step 3 is ``_certify_within``.
+    A generates both levels (build_T puts it first in every level-0-3
+    generator list) and E_x0 is distance cell 0's idempotent, so only step 2
+    has a fact to check.  Step 3 is ``_certify_within``.
     """
-    n, step = graph.n, small.level
-    # A generates both levels: build_T puts it first in every level-0-3 generator list
-    if step == 1 and big.cells[0] != (big.base,):
-        raise CertificationError("distance cell 0 is not the base vertex")
-    if step == 2:
+    if small.level == 2:
         dist_cell = {v: k for k, cell in enumerate(small.cells) for v in cell}
-        if sorted(v for cell in big.cells for v in cell) != list(range(n)):
-            raise CertificationError("stabilizer orbits do not partition the vertices")
         if any(len({dist_cell[v] for v in cell}) != 1 for cell in big.cells):
             raise CertificationError("a stabilizer orbit meets two distance cells")
 

@@ -93,13 +93,14 @@ def _positive(cast):
     return parse
 
 
-def _load_graphs(spec: str) -> list[tuple[str, Graph]]:
+def _load_graphs(spec: str) -> list[tuple[Optional[int], str, Graph]]:
     """--graph argument: a literal graph6 value, or @file with one per line.
 
+    Each graph comes with its line number in the file (None for a literal).
     A bare '@' is the graph6 of the one-vertex graph, not a file.
     """
     if spec == "@" or not spec.startswith("@"):
-        return [(spec.strip().removeprefix(GRAPH6_HEADER.decode()), parse_graph6(spec))]
+        return [(None, spec.strip().removeprefix(GRAPH6_HEADER.decode()), parse_graph6(spec))]
     out = []
     with open(spec[1:], "rb") as fh:
         for lineno, line in iter_graph6_lines(fh):
@@ -107,7 +108,7 @@ def _load_graphs(spec: str) -> list[tuple[str, Graph]]:
                 graph = parse_graph6(line)
             except Graph6Error as exc:
                 raise Graph6Error(f"line {lineno}: {exc}") from None
-            out.append((line.decode("ascii"), graph))
+            out.append((lineno, line.decode("ascii"), graph))
     return out
 
 
@@ -147,17 +148,16 @@ def build_parser() -> _Parser:
 
 def _cmd_compute(args) -> int:
     records = []
-    for g6, graph in _load_graphs(args.graph):
-        bases = None if args.base is None else [args.base]
-        records.extend(
-            classify_graph(
-                graph,
-                levels=args.levels,
-                bases=bases,
-                decompose=args.decompose,
-                graph6=g6,
+    bases = None if args.base is None else [args.base]
+    for lineno, g6, graph in _load_graphs(args.graph):
+        try:
+            records.extend(
+                classify_graph(graph, levels=args.levels, bases=bases, decompose=args.decompose, graph6=g6)
             )
-        )
+        except ValueError as exc:
+            if lineno is None:
+                raise
+            raise ValueError(f"line {lineno}: {exc}") from None
     sys.stdout.buffer.write(emit_report(records, args.format))
     if any(rec.status == STATUS_BUDGET for rec in records):
         return EXIT_BUDGET

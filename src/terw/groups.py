@@ -90,6 +90,30 @@ def point_orbit(points: Iterable[int], images: Sequence[Sequence[int]]) -> set[i
     return orbit
 
 
+def _orbit_labels(images: np.ndarray) -> np.ndarray:
+    """Orbit index of each point under the maps of a (k, m) image table.
+
+    Orbits are numbered 0, 1, ... by their smallest point.  Min-label
+    propagation with pointer jumping: each round gives every point the
+    smallest label among itself and its images, then the label of that
+    label.  Labels only fall and always name a point of the same orbit, so
+    the loop ends; once nothing moves, no map lowers a label, so each label
+    is constant along every cycle of every map, hence is the orbit's
+    smallest point.
+    """
+    lab = np.arange(images.shape[1])
+    while True:
+        new = np.minimum(lab, lab[images].min(0, initial=lab.size))
+        new = new[new]
+        if np.array_equal(new, lab):
+            return np.unique(lab, return_inverse=True)[1]
+        lab = new
+
+
+def _image_table(group: PermGroup) -> np.ndarray:
+    return np.array([g.images for g in group.gens], dtype=np.intp).reshape(len(group.gens), group.n)
+
+
 @dataclass(frozen=True)
 class OrbitPartition:
     """Vertex orbits; for a stabilizer the base's cell is listed first."""
@@ -99,14 +123,15 @@ class OrbitPartition:
 
 @dataclass(frozen=True)
 class OrbitalPartition:
-    """Orbits on ordered pairs under the diagonal action."""
+    """Orbits on ordered pairs under the diagonal action: ``labels[x*n+y]``
+    is the orbital of the pair (x, y), numbered by smallest pair code."""
 
     n: int
-    cells: tuple[tuple[tuple[int, int], ...], ...]
+    labels: np.ndarray
 
     @property
     def count(self) -> int:
-        return len(self.cells)
+        return int(self.labels.max(initial=-1)) + 1
 
 
 def vertex_orbits(group: PermGroup, base: Optional[int] = None) -> OrbitPartition:
@@ -115,17 +140,8 @@ def vertex_orbits(group: PermGroup, base: Optional[int] = None) -> OrbitPartitio
     With base given, the base's cell is moved to the front (the convention
     for stabilizer orbit idempotents).
     """
-    n = group.n
-    images = [g.images for g in group.gens]
-    seen = [False] * n
-    cells = []
-    for v in range(n):
-        if seen[v]:
-            continue
-        orbit = sorted(point_orbit((v,), images))
-        for u in orbit:
-            seen[u] = True
-        cells.append(tuple(orbit))
+    labels = _orbit_labels(_image_table(group))
+    cells = [tuple(np.flatnonzero(labels == k).tolist()) for k in range(labels.max(initial=-1) + 1)]
     if base is not None:
         cells.sort(key=lambda c: (base not in c, c[0]))
     return OrbitPartition(cells=tuple(cells))
@@ -136,32 +152,16 @@ def orbitals(group: PermGroup) -> OrbitalPartition:
 
     A pair (x, y) is handled as its code x*n + y.
     """
-    n = group.n
-    pair_images = [
-        [img[x] * n + img[y] for x in range(n) for y in range(n)]
-        for img in (g.images for g in group.gens)
-    ]
-    seen = [False] * (n * n)
-    cells = []
-    for start in range(n * n):
-        if seen[start]:
-            continue
-        members = sorted(point_orbit((start,), pair_images))
-        for c in members:
-            seen[c] = True
-        cells.append(tuple(divmod(c, n) for c in members))
-    return OrbitalPartition(n=n, cells=tuple(cells))
+    n, img = group.n, _image_table(group)
+    pair_images = (img[:, :, None] * n + img[:, None, :]).reshape(len(img), n * n)
+    return OrbitalPartition(n=n, labels=_orbit_labels(pair_images))
 
 
 def orbital_matrices(partition: OrbitalPartition) -> list[np.ndarray]:
     """0/1 indicator matrix of each orbital; the list sums to the all-ones matrix."""
-    out = []
-    for cell in partition.cells:
-        m = np.zeros((partition.n, partition.n), dtype=np.int64)
-        for x, y in cell:
-            m[x, y] = 1
-        out.append(m)
-    return out
+    n = partition.n
+    cells = partition.labels == np.arange(partition.count)[:, None]
+    return list(cells.astype(np.int64).reshape(-1, n, n))
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ import terw
 from terw import algebras
 from terw.graphs import Graph, gen_cycle, gen_delta, gen_paley, gen_path, gen_star
 from terw.groups import (
-    OrbitalPartition,
     OrbitPartition,
     Perm,
     PermGroup,
@@ -355,11 +354,24 @@ class TestSeededChain:
 
     def test_level_inside_T4_is_certified(self, monkeypatch):
         # swapping 0 and 1 fixes the base 4 of Delta(5) but is no
-        # automorphism: its orbitals pass T4's own certificate, and only the
+        # automorphism: T4 is read off its orbitals unchecked, and only the
         # containment check of level 0 sees that A is not constant on them
         monkeypatch.setattr(algebras, "stabilizer", lambda *a, **k: PermGroup(5, (Perm((1, 0, 2, 3, 4)),)))
         with pytest.raises(CertificationError, match="A is not constant on an orbital cell"):
             chain_with_algebras(gen_delta(5), 4, levels=(0, 4))
+
+    def test_given_stabilizer_must_fix_the_base(self):
+        # a rotation of C5 moves the base 0; its orbitals would give T3 and
+        # T4 dims 3 and 5, where the stabilizer {1, reflection} gives 13, 13
+        rotation = PermGroup(5, (Perm((1, 2, 3, 4, 0)),))
+        for level in (3, 4):
+            with pytest.raises(ValueError, match="moves the base vertex 0"):
+                build_T(level, gen_cycle(5), 0, stab=rotation)
+        with pytest.raises(ValueError, match="moves the base vertex 0"):
+            chain_with_algebras(gen_cycle(5), 0, levels=(3, 4), stab=rotation)
+        reflection = PermGroup(5, (Perm((0, 4, 3, 2, 1)),))
+        report, _ = chain_with_algebras(gen_cycle(5), 0, levels=(3, 4), stab=reflection)
+        assert report.dims[3:] == (13, 13)
 
     def test_within_must_be_T4(self):
         g = gen_delta(5)
@@ -367,23 +379,6 @@ class TestSeededChain:
         for level, base, within in [(0, 3, t4), (4, 4, t4), (2, 4, t1)]:
             with pytest.raises(ValueError):
                 build_T(level, g, base, within=within)
-
-
-# partitions of the pairs of 3 points that are not the orbitals of the group
-# swapping 1 and 2, each breaking one fact of the level-4 certificate
-_TAMPERED_ORBITALS = {
-    "split": [[(0, 0)], [(0, 1)], [(0, 2)], [(1, 0), (2, 0)], [(1, 1), (2, 2)], [(1, 2), (2, 1)]],
-    "diagonal": [[(0, 0), (1, 2), (2, 1)], [(0, 1), (0, 2)], [(1, 0), (2, 0)], [(1, 1), (2, 2)]],
-    "transpose": [[(0, 0)], [(0, 1), (0, 2), (1, 2), (2, 1)], [(1, 0), (2, 0)], [(1, 1), (2, 2)]],
-}
-
-
-@pytest.mark.parametrize("tamper", sorted(_TAMPERED_ORBITALS))
-def test_level4_certificate_rejects_tampered_orbitals(monkeypatch, tamper):
-    cells = tuple(tuple(c) for c in _TAMPERED_ORBITALS[tamper])
-    monkeypatch.setattr(algebras, "orbitals", lambda group: OrbitalPartition(3, cells))
-    with pytest.raises(CertificationError):
-        build_T(4, gen_cycle(3), 0, stab=PermGroup(3, (Perm((0, 2, 1)),)))
 
 
 _UNDER_O = """
@@ -422,6 +417,11 @@ def with_bad_stabilizer():
         algebras.stabilizer = search
 
 
+def rotation_stabilizer():
+    # a rotation of C5 moves the base 0: refused before any certificate
+    chain_with_algebras(gen_cycle(5), 0, stab=PermGroup(5, (Perm((1, 2, 3, 4, 0)),)))
+
+
 def with_bad_orbits(levels):
     # an orbit meeting both distance cells of Delta(5) based at 4
     orbits = algebras.vertex_orbits
@@ -435,12 +435,11 @@ def with_bad_orbits(levels):
 cases = [
     lambda: ScanRecord("Bw", 3, 0, 3, (1, 2, 2, 2, 2), (True, True, True, True), None, "ok").validate(),
     lambda: chain_with_algebras(gen_delta(5), 4, stab=PermGroup(5, (Perm((1, 0, 2, 3, 4)),))),
-    lambda: chain_with_algebras(gen_cycle(5), 0, stab=PermGroup(5, (Perm((1, 2, 3, 4, 0)),))),
     lambda: with_bad_orbits(algebras.LEVELS),
     lambda: with_bad_orbits((2, 3)),
     with_bad_stabilizer,
 ]
-print(__debug__, [raises(case) for case in cases] + [raises(unclosed_center, ValueError)])
+print(__debug__, [raises(case) for case in cases] + [raises(fn, ValueError) for fn in (rotation_stabilizer, unclosed_center)])
 """
 
 

@@ -219,6 +219,18 @@ def test_compute_bad_file_line_names_it(capsys, tmp_path):
     assert "line 3" in err
 
 
+def test_compute_disconnected_file_line_names_it(capsys, tmp_path):
+    # C? is four isolated vertices; the literal value keeps the bare message
+    graphs = tmp_path / "c.g6"
+    graphs.write_bytes(b"Bw\nC?\nCh\n")
+    code, out, err = run(capsys, "compute", "--graph", f"@{graphs}")
+    assert (code, out) == (2, "")
+    assert "input error: line 2: classification needs a connected graph" in err
+    code, _, err = run(capsys, "compute", "--graph", "C?")
+    assert code == 2
+    assert "input error: classification needs a connected graph" in err
+
+
 def test_budget_error_is_exit_3(capsys, tmp_path):
     corpus = tmp_path / "c.g6"
     corpus.write_bytes(write_graph6(gen_delta(6)) + b"\n")

@@ -1,4 +1,7 @@
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (
     brute_automorphisms,
@@ -20,6 +23,7 @@ from terw.groups import (
     orbital_matrices,
     orbitals,
     paley_stabilizer_generators,
+    point_orbit,
     stabilizer,
     vertex_orbits,
 )
@@ -166,6 +170,49 @@ class TestOrbitals:
             for m in mats:
                 span.insert(m)
             assert span.dim == len(mats)
+
+
+@st.composite
+def perm_groups(draw):
+    n = draw(st.integers(1, 12))
+    gens = draw(st.lists(st.permutations(range(n)), max_size=3))
+    return PermGroup(n=n, gens=tuple(Perm(tuple(g)) for g in gens))
+
+
+def _bfs_orbits(points, images):
+    """Orbits by point_orbit BFS, in order of their smallest point."""
+    seen, cells = set(), []
+    for p in range(points):
+        if p not in seen:
+            cells.append(tuple(sorted(point_orbit((p,), images))))
+            seen.update(cells[-1])
+    return cells
+
+
+@settings(max_examples=300, deadline=None)
+@given(perm_groups(), st.data())
+def test_orbit_labels_match_bfs(group, data):
+    n, images = group.n, [g.images for g in group.gens]
+    cells = _bfs_orbits(n, images)
+    assert vertex_orbits(group).cells == tuple(cells)
+    base = data.draw(st.integers(0, n - 1))
+    assert vertex_orbits(group, base=base).cells == tuple(sorted(cells, key=lambda c: (base not in c, c[0])))
+
+    labels = orbitals(group).labels
+    want = np.empty(n * n, dtype=np.int64)
+    pair_images = [[img[c // n] * n + img[c % n] for c in range(n * n)] for img in images]
+    for k, cell in enumerate(_bfs_orbits(n * n, pair_images)):
+        want[list(cell)] = k
+    assert labels.tolist() == want.tolist()
+
+    # the commutant facts: every generator maps each cell onto itself, the
+    # diagonal pairs form whole cells, and the transpose of a cell is a cell
+    for img in images:
+        img = np.asarray(img)
+        assert np.array_equal(labels[(img[:, None] * n + img[None, :]).reshape(-1)], labels)
+    assert np.count_nonzero(np.isin(labels, labels[:: n + 1])) == n
+    transposed = labels.reshape(n, n).T.reshape(-1)
+    assert all(len(set(transposed[labels == k].tolist())) == 1 for k in range(orbitals(group).count))
 
 
 class TestPaleyGroups:

@@ -1,4 +1,5 @@
-"""Package layout: no import cycle inside terw, and test oracles stay out of it."""
+"""Package layout: no import cycle or unused import inside terw, and test
+oracles stay out of it."""
 
 import ast
 import pathlib
@@ -80,3 +81,42 @@ def test_no_import_cycle_in_package():
 def test_test_only_helpers_are_not_exported():
     assert not set(TEST_ONLY) & set(terw.__all__)
     assert not any(hasattr(getattr(terw, mod), name) for mod in ("algebras", "structure", "linalg") for name in TEST_ONLY)
+
+
+def unused_imports(path: pathlib.Path) -> list[str]:
+    """Names a module imports and never reads, as 'file:line: name'.
+
+    An import statement marked ``# noqa: F401`` is kept on purpose and skipped.
+    """
+    source = path.read_text()
+    lines = source.splitlines()
+    tree = ast.parse(source)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    out = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)) or getattr(node, "module", None) == "__future__":
+            continue
+        if any("# noqa: F401" in line for line in lines[node.lineno - 1 : node.end_lineno]):
+            continue
+        for alias in node.names:
+            name = (alias.asname or alias.name).split(".")[0]
+            if name not in used:
+                out.append(f"{path.name}:{node.lineno}: {name}")
+    return out
+
+
+def test_unused_import_finder(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text(
+        "from __future__ import annotations\n"
+        "import itertools\nimport os.path\nfrom typing import Optional\n"
+        "from x import (a,  # noqa: F401\n    b)\n"
+        "def f(p: Optional[int]):\n    return os.path.join(p)\n"
+    )
+    assert unused_imports(mod) == ["mod.py:2: itertools"]
+
+
+def test_no_unused_import_in_package():
+    # __init__ imports to re-export: its __all__ is every public name it binds
+    modules = sorted(p for p in PACKAGE.glob("*.py") if p.stem != "__init__")
+    assert [hit for path in modules for hit in unused_imports(path)] == []
