@@ -20,8 +20,9 @@ elimination:
     (the transpose of a word is the reversed word): A comes from a ``Graph``,
     whose constructors force symmetry, and the idempotents are diagonal.
     Each holds the identity: a closure starts from span{I} or from the
-    level below, T1 takes in T0's rows, and a level that reaches dim T4
-    takes T4's basis, which holds I as the sum of its diagonal cells.
+    level below, T1 takes in T0's rows or is U⊗U = M_n, and a level that
+    reaches dim T4 takes T4's basis, which holds I as the sum of its
+    diagonal cells.
     Neither fact is re-checked;
   * level 4 is a unital transpose-closed algebra by construction, the
     commutant of the stabilizer: its cells are the orbits of a group of
@@ -42,13 +43,20 @@ Containment also makes the chain incremental.  ``chain_with_algebras``
 builds T4 first (its stabilizer search comes before level 3's), then
 levels 0-3 in ascending order:
 
+  * T0 = <A> is span{I, A, ..., A^(k-1)}, k the number of distinct
+    eigenvalues of A, so its closure inserts A's powers as one block after
+    I (``algebra_closure`` with one generator);
   * T1 is T0 + U⊗U, with U = span{A^i e_x0} = T0 e_x0 the base vertex's
     cyclic module, and needs no closure.  T0 + U⊗U holds A and
     E_x0 = e_x0 e_x0^T; each u v^T = A^i E_x0 A^j is a word; and the sum is
     closed under products, as B u v^T = (Bu) v^T and u v^T B = u (Bv)^T for
     B in the symmetric algebra T0, and u v^T u' v'^T = (v^T u') u v'^T.  The
     outer products of U's echelon rows are U⊗U's echelon basis, so T1 costs
-    one block insert of T0's rows (``outer_square``);
+    one block insert of T0's rows (``outer_square``).  Even that insert is
+    skipped when U⊗U already has dim T4: U⊗U ⊆ T1 ⊆ T4, so then T1 = T4
+    (certified inside T4 afterwards like every level).  Without T4 it is
+    skipped when dim U = n, as U⊗U is then M_n, which holds T0.  Either case
+    means U is the whole space, as U⊗U holds I only then;
   * levels 2-3 are generated by T_{k-1} and their own generators, so they
     extend the basis of the level below (``algebra_closure(...,
     below=...)``); a level equal to the one below costs one reduction and
@@ -208,7 +216,9 @@ def build_T(
         module = RowSpace(n)
         module.insert_block(below.basis.rows.reshape(-1, n, n)[:, :, base])
         basis = outer_square(module)
-        basis.insert_block(below.basis.rows)
+        # U⊗U ⊆ T1 ⊆ T4 (or M_n without T4): U⊗U of that dimension already is T1
+        if basis.dim < (n * n if within is None else within.dim):
+            basis.insert_block(below.basis.rows)
         if basis.dim == below.dim:
             basis = below.basis
         elif within is not None and basis.dim == within.dim:

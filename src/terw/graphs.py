@@ -87,11 +87,11 @@ class Graph:
         return sum(self.degree(v) for v in range(self.n)) // 2
 
     def adjacency_matrix(self) -> np.ndarray:
-        a = np.zeros((self.n, self.n), dtype=np.int64)
-        for u in range(self.n):
-            for v in self.neighbors(u):
-                a[u, v] = 1
-        return a
+        # row u holds the bits of mask u, least significant first
+        width = (self.n + 7) // 8
+        raw = b"".join(b.to_bytes(width, "little") for b in self._bits)
+        bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8).reshape(self.n, width), axis=1, bitorder="little")
+        return bits[:, : self.n].astype(np.int64)
 
     def is_connected(self) -> bool:
         seen = 1

@@ -28,6 +28,10 @@ inside the result (the level below in a chain of algebras); then only the
 generators outside it are multiplied by its rows, and when there are none
 the result is ``below`` itself.  It can also stop at ``within``, a span
 known to contain the result, as soon as it reaches within's dimension.
+One generator A closed from span{I} needs no layers: <A> is spanned by I
+and the powers of A, which go in as one block while their entries stay
+within 2**20 (at most n - 1 of them, by Cayley-Hamilton); past that bound
+the layer loop continues from the block's new rows.
 
 Two spans need no elimination at all, as their spanning rows already are
 the normal form: ``cell_span``, the indicators of a partition of the
@@ -51,6 +55,8 @@ _INT64_LIMIT = 2**62
 _INT64_MIN = np.iinfo(np.int64).min
 # float64 bounds round; this leaves a factor of four below int64 overflow
 _BOUND_LIMIT = 2**61
+# largest entry of a power that joins a closure's power block
+_POWER_LIMIT = 2**20
 
 
 def _maxabs(a: np.ndarray) -> int:
@@ -197,7 +203,7 @@ def _echelon(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def as_int_matrix(mat, side: int | None = None) -> np.ndarray:
     """Validate and normalize an integer matrix argument."""
     m = np.asarray(mat)
-    if m.dtype == object:
+    if m.dtype == np.int64 or m.dtype == object:
         pass
     elif not np.issubdtype(m.dtype, np.integer):
         if np.issubdtype(m.dtype, np.floating) and np.all(m == np.round(m)):
@@ -369,6 +375,34 @@ def outer_square(space: RowSpace) -> SpanBasis:
     return basis
 
 
+def _close_layers(basis: SpanBasis, g_stack: np.ndarray, layer: np.ndarray, within: SpanBasis | None) -> SpanBasis:
+    """Every generator of the (k, 1, n, n) stack left-multiplies the newest
+    layer of rows at once, the products added as one block, until a layer
+    adds nothing or the span reaches within's dimension."""
+    side = basis.side
+    cap = None if within is None else within.dim
+    while len(layer) and basis.dim != cap:
+        prods = exact_matmul(g_stack, layer.reshape(1, -1, side, side))
+        layer = basis.insert_block(prods.reshape(-1, side * side))
+    return within if basis.dim == cap else basis
+
+
+def _power_closure(a: np.ndarray, basis: SpanBasis, within: SpanBasis | None) -> SpanBasis:
+    """<a> from basis = span{I}, its powers as one block (see algebra_closure)."""
+    side = basis.side
+    powers = [a]
+    while len(powers) < side - 1:
+        nxt = exact_matmul(a, powers[-1])
+        if nxt.dtype == object or _maxabs(nxt) > _POWER_LIMIT:
+            break
+        powers.append(nxt)
+    layer = basis.insert_block(np.stack(powers).reshape(len(powers), side * side))
+    # a dependent power makes every higher one dependent; dim <a> <= side
+    if len(layer) < len(powers) or basis.dim == side:
+        layer = layer[:0]
+    return _close_layers(basis, a[None, None], layer, within)
+
+
 def algebra_closure(
     generators: Sequence,
     side: int | None = None,
@@ -388,6 +422,14 @@ def algebra_closure(
     independent of the seed and the order of work.  When no generator lies
     outside ``below``, the result is ``below`` itself.
 
+    One generator A closed from span{I} skips the layers: <A> is
+    span{I, A, ..., A^(k-1)} with k the degree of A's minimal polynomial,
+    so A and its powers go in as one block after I.  Powers join the block
+    while their entries stay within _POWER_LIMIT (2**20), so that the
+    block's echelon stays int64, and at most n - 1 of them (Cayley-Hamilton).
+    A dependent power, or n - 1 independent ones, completes the span;
+    otherwise the layer loop continues from the block's new rows.
+
     ``within`` is the basis of a span that the caller knows (or certifies
     afterwards) to contain the result.  The closure then stops as soon as
     its span has within's dimension, and returns ``within`` itself: a
@@ -400,10 +442,12 @@ def algebra_closure(
         side = below.side if below is not None else gens[0].shape[0]
     if any(g.shape[0] != side for g in gens):
         raise ValueError("generators must share one matrix size")
+    cap = None if within is None else within.dim
     if below is None:
         below = SpanBasis(side)
         below.insert(np.eye(side, dtype=np.int64))
-    cap = None if within is None else within.dim
+        if len(gens) == 1 and below.dim != cap:
+            return _power_closure(gens[0], below, within)
     if below.dim == cap:
         return within
     if not gens:
@@ -416,11 +460,7 @@ def algebra_closure(
     basis.rows, basis._piv = below.rows, below._piv
     prods = exact_matmul(g_stack[new][:, None], below.rows.reshape(1, -1, side, side))
     layer = basis.insert_block(prods.reshape(-1, side * side))
-    g_stack = g_stack[:, None]
-    while len(layer) and basis.dim != cap:
-        prods = exact_matmul(g_stack, layer.reshape(1, -1, side, side))
-        layer = basis.insert_block(prods.reshape(-1, side * side))
-    return within if basis.dim == cap else basis
+    return _close_layers(basis, g_stack[:, None], layer, within)
 
 
 def _left_nullspace_combos(rows: np.ndarray) -> np.ndarray:
@@ -459,7 +499,10 @@ def center_basis(basis: SpanBasis, gens: Sequence | None = None) -> SpanBasis:
     entries only.  A diagonal generator D gives [b, D] = (D_cc - D_rr) b for
     the basis row b with pivot (r, c), so diagonal generators only select
     basis rows; each other generator costs one elimination of the
-    candidates' nonzero readouts.
+    candidates' nonzero readouts.  When no generator moves a candidate (at
+    level 0 always, T0 being commutative), the candidates are a subset of
+    the basis's reduced echelon rows, which already is the center's normal
+    form, and no elimination runs.
     """
     n, d = basis.side, basis.dim
     if not d:
@@ -478,6 +521,7 @@ def center_basis(basis: SpanBasis, gens: Sequence | None = None) -> SpanBasis:
         if diag:
             keep &= np.diagonal(g)[r] == np.diagonal(g)[c]
     cands = mats[keep]
+    moved_any = False
     for g, diag in zip(gens, diagonal):
         if diag or not len(cands):
             continue
@@ -485,10 +529,15 @@ def center_basis(basis: SpanBasis, gens: Sequence | None = None) -> SpanBasis:
         hit = np.any(read != 0, axis=1)
         if not np.any(hit):
             continue
+        moved_any = True
         read = read[hit]
         combos = _left_nullspace_combos(read[:, np.any(read != 0, axis=0)])
         moved = _primitive_rows(exact_matmul(combos, cands[hit].reshape(-1, n * n)))
         cands = _fit(np.concatenate([cands[~hit], moved.reshape(-1, n, n)]))
     center = SpanBasis(n)
-    center.insert_block(cands.reshape(len(cands), n * n))
+    if moved_any:
+        center.insert_block(cands.reshape(len(cands), n * n))
+    else:
+        # a subset of reduced echelon rows is the normal form of its span
+        center.rows, center._piv = _fit(basis.rows[keep]), basis._piv[keep]
     return center

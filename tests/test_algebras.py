@@ -21,7 +21,7 @@ from terw.groups import (
 )
 from terw.algebras import build_T, chain_with_algebras, idempotent_for_set
 from terw.errors import CertificationError
-from terw.linalg import SpanBasis, algebra_closure, exact_matmul
+from terw.linalg import RowSpace, SpanBasis, algebra_closure, exact_matmul
 
 from oracles import (
     corner,
@@ -332,6 +332,27 @@ class TestSeededChain:
         assert algs[1].basis is not algs[2].basis
         algs = self._check(gen_cycle(3), 0)
         assert algs[1].basis is algs[2].basis is algs[3].basis is algs[4].basis
+
+    def test_t1_of_a_cyclic_base_vertex_skips_t0(self, monkeypatch):
+        # the end of a path is a cyclic vector of A: U is the whole space, so
+        # T1 = U⊗U = M_n and T0's rows are not inserted, with or without T4
+        g = gen_path(5)
+        t0, t4 = build_T(0, g, 0), build_T(4, g, 0)
+        oracle = build_T(1, g, 0)
+        blocks = []
+        insert_block = RowSpace.insert_block
+
+        def spy(self, block):
+            blocks.append(len(block))
+            return insert_block(self, block)
+
+        monkeypatch.setattr(RowSpace, "insert_block", spy)
+        free = build_T(1, g, 0, below=t0)
+        capped = build_T(1, g, 0, below=t0, within=t4)
+        monkeypatch.undo()
+        assert blocks == [5, 5]  # the module U's rows, once per build
+        assert free.dim == 25 and free.basis.rows.tolist() == oracle.basis.rows.tolist()
+        assert capped.basis is t4.basis
 
     def test_below_must_be_the_level_below(self):
         g = gen_delta(5)

@@ -197,6 +197,21 @@ def test_bfs_partition_properties(corpus):
                 assert any(u in prev for u in g.neighbors(v))
 
 
+@pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 63, 64, 65, 70])
+def test_adjacency_matrix_matches_edge_loop(n):
+    rng = np.random.default_rng(n)
+    for density in (0.0, 0.3, 0.7, 1.0):
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < density]
+        g = Graph(n, edges)
+        want = np.zeros((n, n), dtype=np.int64)
+        for u in range(n):
+            for v in g.neighbors(u):
+                want[u, v] = 1
+        a = g.adjacency_matrix()
+        assert a.dtype == np.int64 and a.shape == (n, n)
+        assert np.array_equal(a, want)
+
+
 def test_bfs_partition_rejects_disconnected():
     with pytest.raises(ValueError):
         bfs_distance_partition(Graph(4, [(0, 1)]), 0)

@@ -6,7 +6,7 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from terw.graphs import Graph, gen_delta
+from terw.graphs import Graph, gen_cycle, gen_delta, gen_path, write_graph6
 from terw.linalg import (
     RowSpace,
     SpanBasis,
@@ -17,7 +17,13 @@ from terw.linalg import (
     outer_square,
 )
 
-from oracles import commutator_center, is_multiplicatively_closed, row_space_rank
+from oracles import (
+    commutator_center,
+    distinct_eigenvalue_count,
+    is_multiplicatively_closed,
+    row_space_rank,
+    rowwise_closure,
+)
 
 
 def E(n, i, j):
@@ -183,6 +189,92 @@ def test_seeded_closure_of_object_rows():
         algebra_closure([e0], below=SpanBasis(4))
 
 
+def _assert_same_as_rowwise(basis, oracle):
+    assert basis.pivots == oracle.pivots
+    assert basis.rows.tolist() == [r.tolist() for r in oracle.rows]
+    assert (basis.rows.dtype == object) == any(r.dtype == object for r in oracle.rows)
+
+
+@st.composite
+def _symmetric_01(draw):
+    n = draw(st.integers(1, 9))
+    m = np.array(draw(st.lists(st.integers(0, 1), min_size=n * n, max_size=n * n)), dtype=np.int64).reshape(n, n)
+    return np.triu(m, 1) + np.triu(m, 1).T
+
+
+@settings(max_examples=60, deadline=None)
+@given(_symmetric_01())
+def test_power_block_closure_matches_rowwise(a):
+    _assert_same_as_rowwise(algebra_closure([a]), rowwise_closure([a]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(2, 5).flatmap(
+        lambda n: st.lists(
+            st.one_of(st.integers(2**8, 2**12), st.integers(-(2**12), -(2**8)), st.integers(-(2**40), 2**40)),
+            min_size=n * n,
+            max_size=n * n,
+        ).map(lambda xs: np.array(xs, dtype=np.int64).reshape(n, n))
+    )
+)
+def test_power_block_past_the_bound_matches_rowwise(a):
+    oracle = rowwise_closure([a])
+    closure = algebra_closure([a])
+    _assert_same_as_rowwise(closure, oracle)
+    assert algebra_closure([a], within=closure) is closure
+
+
+def test_power_block_hands_over_to_the_layer_loop(monkeypatch):
+    # A^2 stays below 2**20 but A^3 passes it: the block holds A and A^2,
+    # and the layers add A^3 (<A> has dim 4, distinct eigenvalues)
+    a = np.array([[300, 1, 0, 2], [1, 250, 3, 0], [0, 3, 200, 1], [2, 0, 1, 150]], dtype=np.int64)
+    assert np.abs(a @ a).max() < 2**20 < np.abs(a @ a @ a).max()
+    blocks = []
+    insert_block = RowSpace.insert_block
+
+    def spy(self, block):
+        blocks.append(len(block))
+        return insert_block(self, block)
+
+    monkeypatch.setattr(RowSpace, "insert_block", spy)
+    closure = algebra_closure([a])
+    monkeypatch.undo()
+    assert blocks[:2] == [1, 2] and len(blocks) > 2
+    assert closure.dim == 4
+    _assert_same_as_rowwise(closure, rowwise_closure([a]))
+
+
+def test_power_block_within():
+    # the 7-cycle: <A> is the span of its 4 distance matrices (a
+    # distance-regular graph), the whole of a within of that dimension
+    c7 = gen_cycle(7)
+    a = c7.adjacency_matrix()
+    dist = np.array([[min((i - j) % 7, (j - i) % 7) for j in range(7)] for i in range(7)])
+    bose_mesner = cell_span(7, dist.reshape(-1))
+    assert algebra_closure([a], within=bose_mesner) is bose_mesner
+    # a larger within changes nothing: the path on 5 vertices has a cyclic
+    # vector, so <A> has dim 5 inside M_5
+    p5 = gen_path(5).adjacency_matrix()
+    full = SpanBasis(5)
+    full.insert_block(np.eye(25, dtype=np.int64))
+    capped = algebra_closure([p5], within=full)
+    assert capped is not full and capped.dim == 5
+    _assert_same_as_rowwise(capped, rowwise_closure([p5]))
+    # a within reached by the identity alone
+    one = SpanBasis(1)
+    one.insert(np.eye(1, dtype=np.int64))
+    assert algebra_closure([np.zeros((1, 1), dtype=np.int64)], within=one) is one
+
+
+def test_adjacency_algebra_dim_is_distinct_eigenvalue_count(corpus):
+    from terw.algebras import build_T
+
+    for n in range(1, 8):
+        for g in corpus[n]:
+            assert build_T(0, g, 0).dim == distinct_eigenvalue_count(g), write_graph6(g)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 4).flatmap(lambda n: st.tuples(st.just(n), st.lists(st.integers(0, 5), min_size=n * n, max_size=n * n))))
 def test_cell_span_is_the_normal_form(case):
@@ -324,6 +416,10 @@ class TestCenterFromGenerators:
                         _assert_same_center(
                             center_basis(alg.basis, alg.generator_matrices), commutator_center(alg.basis)
                         )
+                    # T0 is commutative: A moves no candidate and the basis is its own center
+                    t0 = center_basis(algs[0].basis, algs[0].generator_matrices)
+                    assert t0.pivots == algs[0].basis.pivots
+                    assert t0.rows.tolist() == algs[0].basis.rows.tolist()
         assert shared > 0  # levels that share one basis object are covered
 
     @pytest.mark.parametrize("q", [13, 29])

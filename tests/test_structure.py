@@ -1,4 +1,6 @@
 import itertools
+import json
+import pathlib
 import random
 
 import numpy as np
@@ -299,3 +301,18 @@ def test_invariants_enforced_on_failure():
     b.insert(E(3, 0, 1) + E(3, 1, 2))
     with pytest.raises((DecompositionError, ValueError)):
         wedderburn_decompose(b)
+
+
+@pytest.mark.parametrize("q", [13, 29])
+def test_paley_table_matches_bench_reference(q):
+    """Levels 0-4 of Paley(q) at base 0, built and split as the benchmark's
+    paley-ladder does, against its reference table (read only)."""
+    table = pathlib.Path(__file__).resolve().parent.parent / "bench" / "reference" / "paley.json"
+    want = json.loads(table.read_text())[str(q)]
+    graph, pc = gen_paley(q)
+    stab = paley_stabilizer_generators(pc)
+    algs = [build_T(level, graph, 0, stab=stab) for level in range(5)]
+    assert [alg.dim for alg in algs] == [row["dim"] for row in want]
+    for seed in (0, 1, 7):
+        got = [[list(b) for b in wedderburn_decompose(alg, seed=seed).type.blocks] for alg in algs]
+        assert got == [row["blocks"] for row in want], seed
