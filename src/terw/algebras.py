@@ -12,9 +12,8 @@ Levels, for a connected graph with base vertex x0:
 
 Every level is a unital algebra closed under transpose and contains the
 previous one.  Each fact either holds by construction or is certified on
-construction from facts about the partitions {x0}, distance cells,
-stabilizer orbits and orbitals, at cost O(n^2 |gens|) and without
-elimination:
+construction from facts about partitions, without elimination: one check of
+A on T4's orbital cells per base, and otherwise checks on vertex labels:
 
   * levels 0-3 are transpose-closed because every generator is symmetric
     (the transpose of a word is the reversed word): A comes from a ``Graph``,
@@ -30,12 +29,19 @@ elimination:
     pairs, every generator maps each cell onto itself, a diagonal pair's
     orbit is diagonal (so I is a sum of cells), and transposing commutes
     with the diagonal action (so the transpose of a cell is a cell);
-  * T_k lies in the algebra T_{k+1} once T_k's generators do: A generates
-    levels 0-3 and distance cell 0 is {x0} (the BFS starts there), so only
-    the fact that each stabilizer orbit lies inside one distance cell is
-    checked;
-  * T_k (k <= 3) lies in T4 once A and each idempotent generator of T_k
-    are constant on every orbital cell; for T3 this is the step to T4.
+  * A lies in T4 once it is constant on every orbital cell, which
+    ``build_T(4)`` checks where it reads the cells.  A stabilizer passed in
+    must consist of automorphisms that fix x0 (else ValueError), so the
+    check certifies the search;
+  * level k <= 3 is generated by A and the idempotents of its vertex cells:
+    none at level 0, {x0} at level 1, the distance cells at level 2 and the
+    stabilizer orbits at level 3.  The idempotent of a union of cells is the
+    sum of theirs, so T_k lies in T_{k+1} once each cell of T_k is a union
+    of cells of T_{k+1}.  An orbital cell is all diagonal or all off the
+    diagonal, so a diagonal matrix is constant on every orbital cell, and
+    lies in T4, exactly when it is constant on the diagonal cells, the
+    stabilizer orbits: T_k lies in T4 once each of its cells is a union of
+    stabilizer orbits.  Both are checked on length-n vertex labels.
 
 A failed certificate raises CertificationError.
 
@@ -65,8 +71,8 @@ levels 0-3 in ascending order:
     a subspace of T4 of that dimension is T4, so that level takes T4's
     basis object, and equal levels share one object all the way up.
 
-A level built this way is returned only after the certificates of its step
-and of its containment in T4 have passed.
+A level built this way is returned only after the certificates of its
+containment of the level below and in T4 have passed.
 """
 
 from __future__ import annotations
@@ -82,7 +88,7 @@ from .graphs import Graph, bfs_distance_partition
 # orbital_matrices is not called here, level 4 is read off its cell labels;
 # the name stays importable because bench/tracing.py wraps
 # terw.algebras.orbital_matrices as a span site
-from .groups import DEFAULT_NODE_BUDGET, PermGroup, orbital_matrices, orbitals, stabilizer, vertex_orbits  # noqa: F401
+from .groups import DEFAULT_NODE_BUDGET, PermGroup, is_automorphism, orbital_matrices, orbitals, stabilizer, vertex_orbits  # noqa: F401
 from .linalg import RowSpace, SpanBasis, algebra_closure, cell_span, outer_square
 
 LEVELS = (0, 1, 2, 3, 4)
@@ -110,8 +116,10 @@ class AlgebraBasis:
     # the (k, n, n) stack of a generating set of the algebra: the named
     # generators at levels 0-3, the basis itself at level 4
     generator_matrices: np.ndarray
-    # distance cells (level 2) or orbit cells (level 3); None at level 4,
-    # whose partition is cell_labels
+    # levels 0-3: the vertex cells whose idempotents generate the algebra
+    # with A, () at level 0, ((base,),) at level 1, the distance cells at
+    # level 2 and the orbit cells at level 3; None at level 4, whose
+    # partition is cell_labels
     cells: Optional[tuple[tuple[int, ...], ...]] = None
     # level 4: the orbital index of each pair code x*n+y
     cell_labels: Optional[np.ndarray] = None
@@ -132,6 +140,14 @@ def _constant_on_cells(mats: np.ndarray, labels: np.ndarray) -> bool:
     return np.array_equal(first[:, labels], flat)
 
 
+def _vertex_labels(n: int, cells) -> np.ndarray:
+    """Each vertex's cell index, -1 outside the cells."""
+    labels = np.full(n, -1, dtype=np.intp)
+    for k, cell in enumerate(cells):
+        labels[list(cell)] = k
+    return labels
+
+
 def build_T(
     level: int,
     graph: Graph,
@@ -148,23 +164,25 @@ def build_T(
     Level 0 ignores the base vertex (the adjacency algebra does not depend
     on it) but records it.  Levels 3 and 4 need the base-vertex stabilizer:
     pass one in (e.g. an analytic Paley group) or it is found by search; a
-    given one whose generator moves the base vertex is a ValueError.  Level
-    4 is read off its orbital labels, whose cells already are the normal
-    form.
+    given one with a generator that moves the base vertex or is no
+    automorphism is a ValueError.  Level 4 is read off its orbital labels,
+    whose cells already are the normal form, once A is certified constant
+    on them.  Levels 0-3 are generated by A and the idempotents of their
+    vertex cells (``AlgebraBasis.cells``).
 
     ``below`` is the level-(level-1) algebra of the same (graph, base),
     given to levels 1-3.  Level 1 is then T0 + U⊗U with U the cyclic module T0 e_x0, built
     without a closure; levels 2-3 extend below's basis instead of closing
     from the identity; a level equal to ``below`` returns its very basis
-    object.  The containment of ``below`` is certified (``_certify_step``)
-    before the algebra is returned.
+    object.  Before the algebra is returned, the containment of ``below``
+    is certified: each of below's cells is a union of this level's cells.
 
     ``within`` is the level-4 algebra of the same (graph, base), given to
     levels 0-3.  Their closure stops once it reaches dim T4, a level equal
-    to T4 returns T4's basis object, and after ``_certify_step`` every
-    generator is certified constant on T4's orbital cells, so the level
-    lies inside T4.  Without ``below`` and ``within`` every level is built
-    from scratch.
+    to T4 returns T4's basis object, and the level is certified inside T4:
+    each of its cells is a union of stabilizer orbits, T4's diagonal cells
+    (A was certified when T4 was built).  Without ``below`` and ``within``
+    every level is built from scratch.
     """
     if level not in LEVELS:
         raise ValueError(f"level must be one of {LEVELS}")
@@ -178,7 +196,7 @@ def build_T(
         raise ValueError("algebra builders need a connected graph")
     n = graph.n
     a = graph.adjacency_matrix()
-    cells = labels = None
+    cells, labels = (), None
     if level >= 3 and stab is None:
         group = stabilizer(graph, base, node_budget=node_budget, time_budget=time_budget)
     elif level >= 3:
@@ -188,25 +206,25 @@ def build_T(
             raise ValueError(f"stabilizer acts on {group.n} points, the graph has {n}")
         if any(g(base) != base for g in group.gens):
             raise ValueError(f"a stabilizer generator moves the base vertex {base}")
-    if level == 0:
-        gens = [a]
-        names = ("A",)
-    elif level == 1:
-        gens = [a, idempotent_for_set(n, [base])]
-        names = ("A", f"E[{{{base}}}]")
+        if not all(is_automorphism(graph, g) for g in group.gens):
+            raise ValueError("a stabilizer generator is not an automorphism of the graph")
+    if level == 1:
+        cells = ((base,),)
     elif level == 2:
-        dp = bfs_distance_partition(graph, base)
-        cells = dp.cells
-        gens = [a] + [idempotent_for_set(n, c) for c in cells]
-        names = ("A",) + tuple(f"E[X{k}]" for k in range(len(cells)))
+        cells = bfs_distance_partition(graph, base).cells
     elif level == 3:
         cells = vertex_orbits(group, base=base).cells
+    if level < 4:
         gens = [a] + [idempotent_for_set(n, c) for c in cells]
-        names = ("A",) + tuple(f"E[Y{k}]" for k in range(len(cells)))
+        tags = [f"{{{base}}}"] if level == 1 else [f"{'XY'[level - 2]}{k}" for k in range(len(cells))]
+        names = ("A",) + tuple(f"E[{tag}]" for tag in tags)
     else:
-        # no check: the orbits of a group of bijections partition the pairs, every generator preserves
-        # them, a diagonal pair's orbit is diagonal, and transposing commutes with the diagonal action
-        labels = orbitals(group).labels
+        # the cells need no check: the orbits of a group of bijections partition the pairs, every
+        # generator preserves them, a diagonal pair's orbit is diagonal, and transposing commutes
+        # with the diagonal action; A lies in T4 once it is constant on them
+        cells, labels = None, orbitals(group).labels
+        if not _constant_on_cells(a, labels):
+            raise CertificationError("A is not constant on an orbital cell; a stabilizer generator is not an automorphism")
         basis = cell_span(n, labels)
         # a basis generates its own span
         gens = basis.rows.reshape(-1, n, n)
@@ -241,10 +259,14 @@ def build_T(
         cells=cells,
         cell_labels=labels,
     )
-    if below is not None:
-        _certify_step(below, alg)
-    if within is not None:
-        _certify_within(alg, within)
+    # A generates levels 0-3 and lies in T4, so only the cells' idempotents need a certificate:
+    # each cell is a union of finer cells when its labels are constant on every finer cell
+    if cells:
+        own = _vertex_labels(n, cells)
+        if below is not None and below.cells and not _constant_on_cells(_vertex_labels(n, below.cells), own):
+            raise CertificationError("a cell of the level below is not a union of this level's cells")
+        if within is not None and not _constant_on_cells(own, within.cell_labels[:: n + 1]):
+            raise CertificationError("a cell is not a union of stabilizer orbits")
     return alg
 
 
@@ -261,28 +283,6 @@ class ChainReport:
     # for each strict step, a basis matrix of the larger algebra outside the
     # smaller one (rows are vectorized matrices)
     witnesses: dict[int, np.ndarray]
-
-
-def _certify_step(small: AlgebraBasis, big: AlgebraBasis) -> None:
-    """T_k lies in T_{k+1} for k < 3: every generator of T_k lies in T_{k+1}.
-
-    A generates both levels (build_T puts it first in every level-0-3
-    generator list) and E_x0 is distance cell 0's idempotent, so only step 2
-    has a fact to check.  Step 3 is ``_certify_within``.
-    """
-    if small.level == 2:
-        dist_cell = {v: k for k, cell in enumerate(small.cells) for v in cell}
-        if any(len({dist_cell[v] for v in cell}) != 1 for cell in big.cells):
-            raise CertificationError("a stabilizer orbit meets two distance cells")
-
-
-def _certify_within(small: AlgebraBasis, t4: AlgebraBasis) -> None:
-    """T_k lies in T4: every generator of T_k is constant on T4's orbital cells."""
-    gens = small.generator_matrices
-    if not _constant_on_cells(gens[0], t4.cell_labels):
-        raise CertificationError("A is not constant on an orbital cell; a stabilizer generator is not an automorphism")
-    if not _constant_on_cells(gens[1:], t4.cell_labels):
-        raise CertificationError("an idempotent generator is not constant on an orbital cell")
 
 
 def chain_with_algebras(

@@ -269,30 +269,26 @@ class RowSpace:
         already zero in every old pivot column, are brought to reduced
         echelon form among themselves.  One reduction of the old basis rows
         against these new rows then clears the new pivot columns, and the
-        two sets of rows are merged in pivot order.
+        two sets of rows are merged in pivot order.  The old rows array is
+        never written: a seeded basis may share it with another.
         """
         new, npiv = _echelon(self.reduce_block(block))
-        old, piv = self.rows, self._piv
         if not len(npiv):
             return new
-        if len(npiv) == 1:
-            i = int(piv.searchsorted(npiv[0]))
-            rows = np.concatenate([old[:i], new, old[i:]])
-            merged = np.concatenate([piv[:i], npiv, piv[i:]])
-        else:
-            # the new rows' places among the merged rows
-            fresh = np.zeros(len(piv) + len(npiv), dtype=bool)
-            fresh[piv.searchsorted(npiv) + np.arange(len(npiv))] = True
-            rows = np.empty((len(fresh), self.width), dtype=np.result_type(old, new))
-            rows[fresh], rows[~fresh] = new, old
-            merged = np.empty(len(fresh), dtype=np.intp)
-            merged[fresh], merged[~fresh] = npiv, piv
+        old, piv = self.rows, self._piv
+        # each old and each new row's place in pivot order among the merged rows
+        at_old = npiv.searchsorted(piv) + np.arange(len(piv))
+        at_new = piv.searchsorted(npiv) + np.arange(len(npiv))
+        rows = np.empty((len(piv) + len(npiv), self.width), dtype=np.result_type(old, new))
+        rows[at_old], rows[at_new] = old, new
+        merged = np.empty(len(rows), dtype=np.intp)
+        merged[at_old], merged[at_new] = piv, npiv
         hit = old[:, npiv].any(axis=1).nonzero()[0]
         if hit.size:
             upd = _primitive_rows(_reduce_rows(old[hit], new, npiv))
             if upd.dtype == object and rows.dtype != object:
                 rows = rows.astype(object)
-            rows[hit + npiv.searchsorted(piv[hit])] = upd
+            rows[at_old[hit]] = upd
         self.rows, self._piv = _fit(rows), merged
         return new
 

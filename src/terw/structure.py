@@ -5,12 +5,13 @@ integer row spaces, memberships) is exact, while the spectral splitting is
 floating point.  The center of an ``AlgebraBasis`` comes from the
 generator matrices it was built from; a bare ``SpanBasis`` is first
 checked to be closed under products, and then its basis generates.  The
-input must be closed under transpose (checked exactly): then its central
-idempotents are Hermitian, so a Hermitian central element splits the
-algebra by a symmetric eigensolver with orthogonal projectors onto its
-eigenspaces, and each block size is the square root of one trace.  Every
-floating-point conclusion must reconcile with exact integer identities
-before a result is reported.  The eigenvalues are cut into exactly as many
+input must be closed under transpose, which every ``AlgebraBasis`` is by
+construction (see ``terw.algebras``) and a bare ``SpanBasis`` is checked
+to be exactly: then its central idempotents are Hermitian, so a Hermitian
+central element splits the algebra by a symmetric eigensolver with
+orthogonal projectors onto its eigenspaces, and each block size is the
+square root of one trace.  Every floating-point conclusion must reconcile
+with exact integer identities before a result is reported.  The eigenvalues are cut into exactly as many
 runs as the center has dimensions, and the runs cover all of them, so
 block count = center dimension and weighted block sizes = matrix side hold
 by construction; sum of squared block sizes = algebra dimension is
@@ -84,10 +85,6 @@ class WedderburnDecomposition:
     seed: int
 
 
-def _as_span(algebra: AlgebraBasis | SpanBasis) -> SpanBasis:
-    return algebra.basis if isinstance(algebra, AlgebraBasis) else algebra
-
-
 def _clusters(values: np.ndarray, count: int) -> Optional[list[np.ndarray]]:
     """Index runs of ascending real values, cut at gaps above the tolerance.
 
@@ -119,27 +116,30 @@ def wedderburn_decompose(
 ) -> WedderburnDecomposition:
     """Certified block decomposition of a transpose-closed algebra basis.
 
-    Steps: exact transpose-closure check (ValueError otherwise); exact
-    center of dimension s (``center_basis`` with the algebra's generator
-    matrices, or, for a bare span, after an exact closure check); central
-    element z from seeded integer coefficients; eigh of the Hermitian
-    central element z + z^T + i(z - z^T) (the real z + z^T when z is
-    symmetric), whose eigenvalues must fall into exactly s runs (retrying
-    with fresh seeds a few times); the orthogonal projector V V^H onto each
+    Steps: for a bare span only, an exact transpose-closure check
+    (ValueError otherwise); exact center of dimension s (``center_basis``
+    with the algebra's generator matrices, or, for a bare span, after an
+    exact closure check); central element z from seeded integer
+    coefficients; eigh of the Hermitian central element z + z^T + i(z - z^T)
+    (the real z + z^T when z is symmetric), whose eigenvalues must fall into
+    exactly s runs (retrying with fresh seeds a few times); the orthogonal projector V V^H onto each
     run's eigenvectors V; block sizes from one trace tr(V^H M V) each, which
     must lie within _TRACE_TOL of a square s_i^2 (M as in the comment below);
     multiplicities from run lengths.  The squared sizes must sum to the
     dimension, or the call raises DecompositionError.
     """
-    basis = _as_span(algebra)
+    if isinstance(algebra, AlgebraBasis):
+        basis, gens = algebra.basis, algebra.generator_matrices
+    else:
+        basis, gens = algebra, None
     n = basis.side
     d = basis.dim
     if d == 0:
         raise ValueError("cannot decompose the zero algebra")
-    transpose = np.arange(n * n).reshape(n, n).T.reshape(-1)
-    if np.any(basis.reduce_block(basis.rows[:, transpose])):
-        raise ValueError("the span is not closed under transpose")
-    gens = algebra.generator_matrices if isinstance(algebra, AlgebraBasis) else None
+    if gens is None:
+        transpose = np.arange(n * n).reshape(n, n).T.reshape(-1)
+        if np.any(basis.reduce_block(basis.rows[:, transpose])):
+            raise ValueError("the span is not closed under transpose")
     center = center_basis(basis, gens)
     s = center.dim
     if s == 0:

@@ -423,6 +423,30 @@ def sympy_center_dim(basis_mats: list[np.ndarray]) -> int:
     return d - system.rank()
 
 
+def cell_idempotents_certified(n: int, cells, next_cells=None, orbital_labels=None) -> bool:
+    """Matrix form of the containment certificates of a level's vertex cells.
+
+    Each cell's n-by-n idempotent must be constant on every orbital cell
+    (the pair codes x*n+y that share a value of ``orbital_labels``), and
+    must lie, by elimination, in the span of the idempotents of
+    ``next_cells``.  A level generated by A and its cell idempotents lies in
+    the next level (or in T4, given A is in it) once both hold.
+    """
+    idems = [idempotent_for_set(n, c) for c in cells]
+    if orbital_labels is not None:
+        for e in idems:
+            flat = e.reshape(-1)
+            if any(len(set(flat[orbital_labels == k].tolist())) > 1 for k in set(orbital_labels.tolist())):
+                return False
+    if next_cells is not None:
+        span = SpanBasis(n)
+        for cell in next_cells:
+            span.insert(idempotent_for_set(n, cell))
+        if not all(span.contains(e) for e in idems):
+            return False
+    return True
+
+
 # ---------------------------------------------------------------------------
 # corners, commutativity, module ranks, thinness and the pendant reduction
 # ---------------------------------------------------------------------------

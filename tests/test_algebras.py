@@ -4,9 +4,12 @@ import random
 import subprocess
 import sys
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import terw
 from terw import algebras
@@ -24,6 +27,7 @@ from terw.errors import CertificationError
 from terw.linalg import RowSpace, SpanBasis, algebra_closure, exact_matmul
 
 from oracles import (
+    cell_idempotents_certified,
     corner,
     is_commutative,
     is_multiplicatively_closed,
@@ -227,6 +231,65 @@ class TestCertificatesAgainstElimination:
                 assert all(big.contains(m) for m in small.basis.matrices()), (g.n, base, small.level)
 
 
+def _random_connected_graph(n, rnd):
+    edges = {(rnd.randrange(v), v) for v in range(1, n)}
+    edges |= {(u, v) for v in range(n) for u in range(v) if rnd.random() < 0.3}
+    return Graph(n, sorted(edges))
+
+
+def _cells_of(labels):
+    return tuple(tuple(np.flatnonzero(labels == k).tolist()) for k in np.unique(labels))
+
+
+def _perturbed(cells, n, rnd):
+    """The cells as they are, with two merged, with one vertex split off, or
+    a random partition."""
+    labels = algebras._vertex_labels(n, cells)
+    mode = rnd.randrange(4)
+    if mode == 1:
+        labels[labels == rnd.randrange(len(cells))] = rnd.randrange(len(cells))
+    elif mode == 2:
+        labels[rnd.randrange(n)] = len(cells)
+    elif mode == 3:
+        labels = np.array([rnd.randrange(n) for _ in range(n)])
+    return _cells_of(labels)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 8), st.randoms(use_true_random=False))
+def test_partition_certificate_matches_matrix_oracle(n, rnd):
+    """The vertex-label certificates fail exactly when the idempotents fail
+    the matrix oracle: level 3 on a perturbed stabilizer orbit partition,
+    and cells with holes (as level 1's {x0}) against either partition."""
+    graph, base = _random_connected_graph(n, rnd), rnd.randrange(n)
+    t2, t4 = build_T(2, graph, base), build_T(4, graph, base)
+    orbits = _perturbed(_cells_of(t4.cell_labels[:: n + 1]), n, rnd)
+    if not cell_idempotents_certified(n, t2.cells, next_cells=orbits):
+        expected = "a cell of the level below is not a union of this level's cells"
+    elif not cell_idempotents_certified(n, orbits, orbital_labels=t4.cell_labels):
+        expected = "a cell is not a union of stabilizer orbits"
+    else:
+        expected = None
+    with mock.patch.object(algebras, "vertex_orbits", lambda group, base=None: OrbitPartition(orbits)):
+        try:
+            build_T(3, graph, base, below=t2, within=t4)
+            raised = None
+        except CertificationError as err:
+            raised = str(err)
+    assert raised == expected
+
+    coarse = np.array([rnd.randrange(-1, 3) for _ in range(n)])
+    if rnd.random() < 0.5:
+        for cell in orbits:
+            coarse[list(cell)] = coarse[cell[0]]
+    holes = [tuple(np.flatnonzero(coarse == k).tolist()) for k in range(3) if (coarse == k).any()]
+    for fine, oracle in [
+        (algebras._vertex_labels(n, orbits), cell_idempotents_certified(n, holes, next_cells=orbits)),
+        (t4.cell_labels[:: n + 1], cell_idempotents_certified(n, holes, orbital_labels=t4.cell_labels)),
+    ]:
+        assert algebras._constant_on_cells(algebras._vertex_labels(n, holes), fine) == oracle, (holes, fine)
+
+
 def _assert_same_basis(basis, oracle, label):
     assert basis.pivots == oracle.pivots, label
     assert basis.rows.tolist() == [r.tolist() for r in oracle.rows], label
@@ -370,16 +433,41 @@ class TestSeededChain:
         monkeypatch.setattr(
             algebras, "vertex_orbits", lambda group, base=None: OrbitPartition(((0, 4), (1, 2, 3)))
         )
-        with pytest.raises(CertificationError, match="meets two distance cells"):
+        with pytest.raises(CertificationError, match="a cell of the level below is not a union of this level's cells"):
             chain_with_algebras(gen_delta(5), 4, levels=levels)
 
     def test_level_inside_T4_is_certified(self, monkeypatch):
         # swapping 0 and 1 fixes the base 4 of Delta(5) but is no
-        # automorphism: T4 is read off its orbitals unchecked, and only the
-        # containment check of level 0 sees that A is not constant on them
+        # automorphism: T4's cells are read off its orbitals unchecked, and
+        # the check of A on them, once per base in build_T(4), sees it
         monkeypatch.setattr(algebras, "stabilizer", lambda *a, **k: PermGroup(5, (Perm((1, 0, 2, 3, 4)),)))
-        with pytest.raises(CertificationError, match="A is not constant on an orbital cell"):
-            chain_with_algebras(gen_delta(5), 4, levels=(0, 4))
+        message = "A is not constant on an orbital cell; a stabilizer generator is not an automorphism"
+        for levels in [(0, 4), (4,)]:
+            with pytest.raises(CertificationError, match=message):
+                chain_with_algebras(gen_delta(5), 4, levels=levels)
+        with pytest.raises(CertificationError, match=message):
+            build_T(4, gen_delta(5), 4)
+
+    def test_level_cells_inside_T4_are_certified(self, monkeypatch):
+        # T4 from the true stabilizer of Delta(5) at 4, but a level-3 orbit
+        # {0, 1} that is no union of its orbits: T3 need not lie in T4
+        g = gen_delta(5)
+        t4 = build_T(4, g, 4)
+        monkeypatch.setattr(algebras, "vertex_orbits", lambda group, base=None: OrbitPartition(((4,), (0, 1), (2, 3))))
+        with pytest.raises(CertificationError, match="a cell is not a union of stabilizer orbits"):
+            build_T(3, g, 4, within=t4)
+
+    def test_given_stabilizer_must_be_automorphisms(self):
+        # swapping 0 and 1 fixes the base 4 of Delta(5) but is no
+        # automorphism; its orbits would give T3 and T4 dims 25 and 17,
+        # where the true stabilizer gives 13 and 13
+        swap = PermGroup(5, (Perm((1, 0, 2, 3, 4)),))
+        for level in (3, 4):
+            with pytest.raises(ValueError, match="a stabilizer generator is not an automorphism of the graph"):
+                build_T(level, gen_delta(5), 4, stab=swap)
+        with pytest.raises(ValueError, match="not an automorphism of the graph"):
+            chain_with_algebras(gen_delta(5), 4, levels=(3,), stab=swap)
+        assert build_T(3, gen_delta(5), 4).dim == build_T(4, gen_delta(5), 4).dim == 13
 
     def test_given_stabilizer_must_fix_the_base(self):
         # a rotation of C5 moves the base 0; its orbitals would give T3 and
@@ -453,14 +541,19 @@ def with_bad_orbits(levels):
         algebras.vertex_orbits = orbits
 
 
+def given_non_automorphism():
+    # a given stabilizer of non-automorphisms: refused before any certificate
+    chain_with_algebras(gen_delta(5), 4, stab=PermGroup(5, (Perm((1, 0, 2, 3, 4)),)))
+
+
 cases = [
     lambda: ScanRecord("Bw", 3, 0, 3, (1, 2, 2, 2, 2), (True, True, True, True), None, "ok").validate(),
-    lambda: chain_with_algebras(gen_delta(5), 4, stab=PermGroup(5, (Perm((1, 0, 2, 3, 4)),))),
     lambda: with_bad_orbits(algebras.LEVELS),
     lambda: with_bad_orbits((2, 3)),
     with_bad_stabilizer,
 ]
-print(__debug__, [raises(case) for case in cases] + [raises(fn, ValueError) for fn in (rotation_stabilizer, unclosed_center)])
+value_cases = (given_non_automorphism, rotation_stabilizer, unclosed_center)
+print(__debug__, [raises(case) for case in cases] + [raises(fn, ValueError) for fn in value_cases])
 """
 
 
@@ -555,13 +648,21 @@ class TestStructuralInvariants:
         """Every level of each graph, from scratch and from the seeded, capped chain.
 
         The builders do not check these facts, which hold by construction,
-        so the tests check both routes.
+        and the decomposition trusts them, so the tests check both routes,
+        on a few 5-vertex graphs and on Paley(13) with its analytic
+        stabilizer.
         """
         for g in corpus[5][:10]:
             for lvl in range(5):
                 yield g, build_T(lvl, g, 0)
             for alg in chain_with_algebras(g, 0)[1]:
                 yield g, alg
+        g, pc = gen_paley(13)
+        stab = paley_stabilizer_generators(pc)
+        for lvl in range(5):
+            yield g, build_T(lvl, g, 0, stab=stab)
+        for alg in chain_with_algebras(g, 0, stab=stab)[1]:
+            yield g, alg
 
     def test_transpose_closure_explicit(self, corpus):
         for _, alg in self._algebras(corpus):

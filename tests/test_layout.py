@@ -1,5 +1,5 @@
-"""Package layout: no import cycle or unused import inside terw, and test
-oracles stay out of it."""
+"""Package layout: no import cycle or unused import inside terw, test
+oracles stay out of it, and every certificate of the chain has a test."""
 
 import ast
 import pathlib
@@ -120,3 +120,34 @@ def test_no_unused_import_in_package():
     # __init__ imports to re-export: its __all__ is every public name it binds
     modules = sorted(p for p in PACKAGE.glob("*.py") if p.stem != "__init__")
     assert [hit for path in modules for hit in unused_imports(path)] == []
+
+
+def certification_messages(path: pathlib.Path) -> list[str | None]:
+    """The message of every ``raise CertificationError(...)`` in a module, in
+    line order; None for one that is not a string literal."""
+    out = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call):
+            if getattr(node.exc.func, "id", None) == "CertificationError":
+                arg = node.exc.args[0] if node.exc.args else None
+                literal = isinstance(arg, ast.Constant) and isinstance(arg.value, str)
+                out.append((node.lineno, arg.value if literal else None))
+    return [message for _, message in sorted(out)]
+
+
+def test_certification_message_finder(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text(
+        "def f(x):\n    if x:\n        raise CertificationError('a fact fails')\n"
+        "    raise CertificationError(x)\n\ndef g():\n    raise ValueError('not a certificate')\n"
+    )
+    assert certification_messages(mod) == ["a fact fails", None]
+
+
+def test_every_chain_certificate_has_a_test():
+    # a certificate moved or renamed keeps its test only if the test names its message
+    messages = certification_messages(PACKAGE / "algebras.py")
+    tests = pathlib.Path(__file__).parent
+    sources = [p.read_text() for p in tests.glob("test_*.py") if p.name != pathlib.Path(__file__).name]
+    assert messages and None not in messages
+    assert [m for m in messages if not any(m in src for src in sources)] == []

@@ -189,6 +189,29 @@ def test_seeded_closure_of_object_rows():
         algebra_closure([e0], below=SpanBasis(4))
 
 
+@pytest.mark.parametrize("units", [[(1, 1)], [(1, 1), (0, 1)], [(0, 1), (1, 0), (1, 1)]])
+def test_insert_into_a_seeded_basis_leaves_the_seed_rows(units):
+    # a seeded closure's basis starts on below's very rows array; clearing the
+    # new pivot columns from the old rows must not write through to the seed
+    seed = SpanBasis(2)
+    seed.insert(np.eye(2, dtype=np.int64))
+    rows = seed.rows.copy()
+    grown = SpanBasis(2)
+    grown.rows, grown._piv = seed.rows, seed._piv
+    block = np.stack([E(2, i, j).reshape(-1) for i, j in units])
+    grown.insert_block(block)
+    assert seed.rows.tolist() == rows.tolist() and seed.pivots == [0]
+    oracle = SpanBasis(2)
+    oracle.insert_block(np.concatenate([np.eye(2, dtype=np.int64).reshape(1, -1), block]))
+    assert grown.pivots == oracle.pivots and grown.rows.tolist() == oracle.rows.tolist()
+    # and through the closure, with object rows in the seed
+    a = np.array([[2**40, 3, 1], [3, -(2**39), 7], [1, 7, 5]], dtype=np.int64)
+    below = algebra_closure([a])
+    rows = below.rows.copy()
+    algebra_closure([a, np.diag([1, 0, 0]).astype(np.int64)], below=below)
+    assert below.rows.tolist() == rows.tolist()
+
+
 def _assert_same_as_rowwise(basis, oracle):
     assert basis.pivots == oracle.pivots
     assert basis.rows.tolist() == [r.tolist() for r in oracle.rows]

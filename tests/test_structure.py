@@ -17,7 +17,7 @@ from terw.errors import DecompositionError
 from terw.graphs import gen_cycle, gen_delta, gen_paley, gen_path, gen_star
 from terw.groups import paley_stabilizer_generators
 from terw.algebras import build_T, idempotent_for_set
-from terw.linalg import SpanBasis, algebra_closure, center_basis
+from terw.linalg import RowSpace, SpanBasis, algebra_closure, center_basis
 from terw.structure import WedderburnType, wedderburn_decompose
 
 
@@ -106,6 +106,29 @@ class TestDecompose:
         assert alg.dim == 2
         with pytest.raises(ValueError, match="transpose"):
             wedderburn_decompose(alg)
+
+    def test_algebra_basis_skips_the_transpose_reduction(self, monkeypatch):
+        # every level is transpose-closed by construction, so only a bare
+        # SpanBasis is reduced against its own transpose
+        g, pc = gen_paley(13)
+        stab = paley_stabilizer_generators(pc)
+        reduce_block = RowSpace.reduce_block
+        transposed = []
+
+        def spy(self, block):
+            if isinstance(self, SpanBasis) and np.shape(block) == self.rows.shape:
+                flip = np.arange(self.width).reshape(self.side, self.side).T.reshape(-1)
+                transposed.append(np.array_equal(block, self.rows[:, flip]))
+            return reduce_block(self, block)
+
+        monkeypatch.setattr(RowSpace, "reduce_block", spy)
+        for level in range(5):
+            alg = build_T(level, g, 0, stab=stab)
+            transposed.clear()
+            wedderburn_decompose(alg)
+            assert not any(transposed), level
+            wedderburn_decompose(alg.basis)
+            assert any(transposed), level
 
     def test_seed_invariance(self):
         alg = build_T(3, gen_delta(5), 4)
