@@ -41,6 +41,7 @@ from .algebras import (
     idempotent_for_set,
     build_T,
     chain_with_algebras,
+    witness,
 )
 from .structure import (
     WedderburnType,

@@ -77,7 +77,6 @@ containment of the level below and in T4 have passed.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -121,7 +120,8 @@ class AlgebraBasis:
     # level 2 and the orbit cells at level 3; None at level 4, whose
     # partition is cell_labels
     cells: Optional[tuple[tuple[int, ...], ...]] = None
-    # level 4: the orbital index of each pair code x*n+y
+    # the cell index of each vertex at levels 1-3 (-1 outside the cells), of
+    # each pair code x*n+y (its orbital) at level 4; None at level 0
     cell_labels: Optional[np.ndarray] = None
 
     @property
@@ -155,7 +155,7 @@ def build_T(
     *,
     stab: Optional[PermGroup] = None,
     node_budget: int = DEFAULT_NODE_BUDGET,
-    time_budget: Optional[float] = None,
+    deadline: Optional[float] = None,
     below: Optional[AlgebraBasis] = None,
     within: Optional[AlgebraBasis] = None,
 ) -> AlgebraBasis:
@@ -165,9 +165,10 @@ def build_T(
     on it) but records it.  Levels 3 and 4 need the base-vertex stabilizer:
     pass one in (e.g. an analytic Paley group) or it is found by search; a
     given one with a generator that moves the base vertex or is no
-    automorphism is a ValueError.  Level 4 is read off its orbital labels,
-    whose cells already are the normal form, once A is certified constant
-    on them.  Levels 0-3 are generated by A and the idempotents of their
+    automorphism is a ValueError, and a search past node_budget nodes or
+    the deadline (a ``time.monotonic()`` instant) a BudgetExceededError.
+    Level 4 is read off its orbital labels, whose cells already are the
+    normal form, once A is certified constant on them.  Levels 0-3 are generated by A and the idempotents of their
     vertex cells (``AlgebraBasis.cells``).
 
     ``below`` is the level-(level-1) algebra of the same (graph, base),
@@ -196,9 +197,9 @@ def build_T(
         raise ValueError("algebra builders need a connected graph")
     n = graph.n
     a = graph.adjacency_matrix()
-    cells, labels = (), None
+    cells = ()
     if level >= 3 and stab is None:
-        group = stabilizer(graph, base, node_budget=node_budget, time_budget=time_budget)
+        group = stabilizer(graph, base, node_budget=node_budget, deadline=deadline)
     elif level >= 3:
         # the search fixes the base by construction; a given group need not
         group = stab
@@ -218,6 +219,7 @@ def build_T(
         gens = [a] + [idempotent_for_set(n, c) for c in cells]
         tags = [f"{{{base}}}"] if level == 1 else [f"{'XY'[level - 2]}{k}" for k in range(len(cells))]
         names = ("A",) + tuple(f"E[{tag}]" for tag in tags)
+        labels = _vertex_labels(n, cells) if cells else None
     else:
         # the cells need no check: the orbits of a group of bijections partition the pairs, every
         # generator preserves them, a diagonal pair's orbit is diagonal, and transposing commutes
@@ -262,27 +264,41 @@ def build_T(
     # A generates levels 0-3 and lies in T4, so only the cells' idempotents need a certificate:
     # each cell is a union of finer cells when its labels are constant on every finer cell
     if cells:
-        own = _vertex_labels(n, cells)
-        if below is not None and below.cells and not _constant_on_cells(_vertex_labels(n, below.cells), own):
+        if below is not None and below.cells and not _constant_on_cells(below.cell_labels, labels):
             raise CertificationError("a cell of the level below is not a union of this level's cells")
-        if within is not None and not _constant_on_cells(own, within.cell_labels[:: n + 1]):
+        if within is not None and not _constant_on_cells(labels, within.cell_labels[:: n + 1]):
             raise CertificationError("a cell is not a union of stabilizer orbits")
     return alg
 
 
+def equal_flags(dims: Sequence[Optional[int]]) -> tuple[Optional[bool], ...]:
+    """Whether each level equals the next, None beside a level not built; adjacent
+    built levels are certified nested, so equal dims mean equal algebras."""
+    return tuple(None if lo is None or hi is None else lo == hi for lo, hi in zip(dims, dims[1:]))
+
+
+def witness(small: AlgebraBasis, big: AlgebraBasis) -> Optional[np.ndarray]:
+    """The first basis matrix of ``big`` outside ``small``, None when there
+    is none (for adjacent levels of a chain: when they are equal)."""
+    outside = np.any(small.basis.reduce_block(big.basis.rows), axis=1)
+    if not outside.any():
+        return None
+    return big.basis.rows[int(np.argmax(outside))].reshape(big.n, big.n)
+
+
 @dataclass(frozen=True)
 class ChainReport:
-    """Dimensions and equality flags along the chain of the five algebras.
+    """Dimensions along the chain of the five algebras.
 
     A level that was not built (not requested, or cut off by a search budget
     miss) has dim None, and the flags beside it are None.
     """
 
     dims: tuple[Optional[int], ...]
-    equal_next: tuple[Optional[bool], ...]
-    # for each strict step, a basis matrix of the larger algebra outside the
-    # smaller one (rows are vectorized matrices)
-    witnesses: dict[int, np.ndarray]
+
+    @property
+    def equal_next(self) -> tuple[Optional[bool], ...]:
+        return equal_flags(self.dims)
 
 
 def chain_with_algebras(
@@ -292,9 +308,9 @@ def chain_with_algebras(
     levels: Sequence[int] = LEVELS,
     stab: Optional[PermGroup] = None,
     node_budget: int = DEFAULT_NODE_BUDGET,
-    time_budget: Optional[float] = None,
+    deadline: Optional[float] = None,
 ) -> tuple[ChainReport, list[Optional[AlgebraBasis]]]:
-    """Dims of the requested levels, adjacency equality flags, and the algebras.
+    """Dims of the requested levels, and the algebras.
 
     Level 4 is built first with ``build_T``, then levels 0-3 in ascending
     order, each passed the level below as ``below`` when that level was
@@ -304,42 +320,29 @@ def chain_with_algebras(
     certifies the containment of ``below`` and of T4 from partition facts
     (see the module docstring) before it returns, so every flag between
     adjacent built levels is certified.  Without a given stabilizer, level
-    4 and then level 3 each search it under the node budget and what is
-    left of time_budget, which covers the whole chain.  A
-    BudgetExceededError from either search leaves levels 3 and 4 None in
-    the dims and the returned list, as are the levels not requested; levels
-    0-2 are still built, without the cap when level 4 missed.  For each
-    strict step the first basis matrix of the larger algebra outside the
-    smaller one is kept as a witness.
+    4 and then level 3 each search it under the node budget and the one
+    ``time.monotonic()`` deadline.  A BudgetExceededError from either
+    search leaves levels 3 and 4 None in the dims and the returned list, as
+    are the levels not requested; levels 0-2 are still built, without the
+    cap when level 4 missed.  ``witness`` gives, on request, a matrix of a
+    strict step's larger algebra outside the smaller one.
     """
-    deadline = None if time_budget is None else time.monotonic() + time_budget
     algs: list[Optional[AlgebraBasis]] = [None] * len(LEVELS)
     wanted = sorted(set(levels), key=lambda lvl: (lvl < 4, lvl))
     top = len(LEVELS)
     for lvl in wanted:
         if lvl >= top:
             continue
-        remaining = None if deadline is None else max(deadline - time.monotonic(), 0.01)
         # T4 comes first, so it gets neither below nor within
         below = algs[lvl - 1] if lvl > 0 else None
         try:
             algs[lvl] = build_T(
-                lvl, graph, base, stab=stab, node_budget=node_budget, time_budget=remaining,
+                lvl, graph, base, stab=stab, node_budget=node_budget, deadline=deadline,
                 below=below, within=algs[4],
             )
         except BudgetExceededError:
             # only levels 3 and 4 search, so a miss ends the chain above level 2
             top = 3
             algs[top:] = [None] * (len(LEVELS) - top)
-    flags: list[Optional[bool]] = [None] * 4
-    witnesses: dict[int, np.ndarray] = {}
-    for lvl in range(4):
-        small, big = algs[lvl], algs[lvl + 1]
-        if small is None or big is None:
-            continue
-        flags[lvl] = small.dim == big.dim
-        if not flags[lvl]:
-            outside = np.any(small.basis.reduce_block(big.basis.rows), axis=1)
-            witnesses[lvl] = big.basis.rows[int(np.argmax(outside))].reshape(graph.n, graph.n)
     dims = tuple(None if alg is None else alg.dim for alg in algs)
-    return ChainReport(dims=dims, equal_next=tuple(flags), witnesses=witnesses), algs
+    return ChainReport(dims=dims), algs

@@ -8,13 +8,15 @@ Subcommands:
 
 Exit codes: 0 success, 1 usage error, 2 input error, 3 budget exceeded.
 The worker count for scans comes from --jobs, else TERW_JOBS, else the CPU
-count; a --jobs or TERW_JOBS that is not an integer > 0 is a usage error.
+count; a --jobs or TERW_JOBS that is not an integer > 0 is a usage error,
+and so is a scan whose --out is its corpus file.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import os
 import sys
 from typing import Optional
 
@@ -33,7 +35,8 @@ from .graphs import (
     write_graph6,
 )
 from .pipeline import (
-    FILTERS, STATUS_BUDGET, ScanStats, classify_graph, emit_report, resolve_jobs, scan_corpus,
+    DEFAULT_NODE_BUDGET, DEFAULT_TIME_BUDGET, FILTERS, STATUS_BUDGET, ScanStats, classify_graph,
+    emit_report, resolve_jobs, scan_corpus,
 )
 from .structure import wedderburn_decompose
 
@@ -135,9 +138,11 @@ def build_parser() -> _Parser:
     s.add_argument("--filter", choices=FILTERS, default="all")
     s.add_argument("--jobs", type=_positive(int), default=None,
                    help="worker processes (default TERW_JOBS, else the CPU count)")
-    s.add_argument("--out", default=None, help="output file (default stdout)")
-    s.add_argument("--node-budget", type=_positive(int), default=None, help="stabilizer search node cap")
-    s.add_argument("--time-budget", type=_positive(float), default=None, help="per-graph seconds cap")
+    s.add_argument("--out", default=None, help="output file, not the corpus (default stdout)")
+    s.add_argument("--node-budget", type=_positive(int), default=DEFAULT_NODE_BUDGET,
+                   help="node cap of each search (default %(default)s)")
+    s.add_argument("--time-budget", type=_positive(float), default=DEFAULT_TIME_BUDGET,
+                   help="per-graph seconds cap (default %(default)s)")
 
     d = sub.add_parser("decompose", help="Wedderburn type of one algebra")
     d.add_argument("--graph", required=True, help="graph6 value")
@@ -188,20 +193,18 @@ def _cmd_generate(args) -> int:
 
 def _cmd_scan(args) -> int:
     stats = ScanStats()
-    extra = {}
-    if args.node_budget is not None:
-        extra["node_budget"] = args.node_budget
-    if args.time_budget is not None:
-        extra["time_budget"] = args.time_budget
-    records = scan_corpus(
-        args.corpus, filter=args.filter, jobs=args.jobs, stats=stats, **extra
-    )
-    # each record is written as the scan yields it, so a bad line or a crash
-    # keeps the graphs already classified
-    with open(args.out, "wb") if args.out else contextlib.nullcontext(sys.stdout.buffer) as out:
-        for rec in records:
-            out.write(emit_report([rec], "jsonl"))
-            out.flush()
+    # the corpus is opened before --out is truncated, so a missing corpus leaves an old output
+    with open(args.corpus, "rb") as corpus:
+        records = scan_corpus(
+            corpus, filter=args.filter, jobs=args.jobs, node_budget=args.node_budget,
+            time_budget=args.time_budget, stats=stats,
+        )
+        # each record is written as the scan yields it, so a bad line or a crash
+        # keeps the graphs already classified
+        with open(args.out, "wb") if args.out else contextlib.nullcontext(sys.stdout.buffer) as out:
+            for rec in records:
+                out.write(emit_report([rec], "jsonl"))
+                out.flush()
     print(
         f"scanned {stats.graphs} graphs, skipped {stats.skipped_disconnected} disconnected, "
         f"emitted {stats.records} records",
@@ -230,6 +233,10 @@ def main(argv: Optional[list[str]] = None) -> int:
                 args.jobs = resolve_jobs(args.jobs)
             except ValueError as exc:
                 parser.error(str(exc))
+            # a missing corpus is an input error below, a missing --out a new file
+            with contextlib.suppress(OSError):
+                if args.out and os.path.samefile(args.corpus, args.out):
+                    parser.error("--out is the corpus file")
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -279,8 +279,7 @@ def _search(state: _SearchState, left: list[tuple[int, ...]], right: list[tuple[
     return found
 
 
-def _run_search(graph: Graph, init_cells: list[tuple[int, ...]], node_budget: int, time_budget: Optional[float], origin: str) -> PermGroup:
-    deadline = None if time_budget is None else time.monotonic() + time_budget
+def _run_search(graph: Graph, init_cells: list[tuple[int, ...]], node_budget: int, deadline: Optional[float], origin: str) -> PermGroup:
     state = _SearchState(graph=graph, node_budget=node_budget, deadline=deadline)
     cells = _refine(graph._bits, init_cells)
     _search(state, cells, cells, True)
@@ -292,10 +291,11 @@ def automorphism_group(
     graph: Graph,
     *,
     node_budget: int = DEFAULT_NODE_BUDGET,
-    time_budget: Optional[float] = None,
+    deadline: Optional[float] = None,
 ) -> PermGroup:
-    """Generating set of the full automorphism group, by backtracking search."""
-    return _run_search(graph, [tuple(range(graph.n))], node_budget, time_budget, "computed-by-search")
+    """Generating set of the full automorphism group, by backtracking search;
+    BudgetExceededError past node_budget nodes or the ``time.monotonic()`` deadline."""
+    return _run_search(graph, [tuple(range(graph.n))], node_budget, deadline, "computed-by-search")
 
 
 def stabilizer(
@@ -303,7 +303,7 @@ def stabilizer(
     base: int,
     *,
     node_budget: int = DEFAULT_NODE_BUDGET,
-    time_budget: Optional[float] = None,
+    deadline: Optional[float] = None,
 ) -> PermGroup:
     """Generating set of the stabilizer of the base vertex.
 
@@ -315,7 +315,7 @@ def stabilizer(
     if graph.n == 1:
         return PermGroup(n=1, gens=(), origin="computed-by-search")
     init = [(base,), tuple(v for v in range(graph.n) if v != base)]
-    return _run_search(graph, init, node_budget, time_budget, "computed-by-search")
+    return _run_search(graph, init, node_budget, deadline, "computed-by-search")
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,8 @@
 One record is produced per orbit of base vertices under the full
 automorphism group (base vertices in one orbit yield isomorphic algebras,
 so one representative suffices).  Each record comes from one
-``chain_with_algebras`` call over the requested levels: its dims and
-certified flags are the chain's, a level the chain left None (a search
+``chain_with_algebras`` call over the requested levels: its dims are the
+chain's and its flags are read off them, a level the chain left None (a search
 budget miss) makes the record ``stabilizer-budget-exceeded``, and a level
 whose flag says it equals the level below takes that level's Wedderburn
 type instead of decomposing again.  Scans are deterministic for any worker
@@ -26,8 +26,8 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 # build_T is not called here, the chain builds every level; the name stays
 # importable because bench/tracing.py wraps terw.pipeline.build_T as a span site
-from .algebras import build_T, chain_with_algebras  # noqa: F401
-from .errors import BudgetExceededError, CertificationError, DecompositionError, Graph6Error
+from .algebras import build_T, chain_with_algebras, equal_flags  # noqa: F401
+from .errors import BudgetExceededError, DecompositionError, Graph6Error
 from .graphs import Graph, iter_graph6_lines, parse_graph6, write_graph6
 from .groups import DEFAULT_NODE_BUDGET, automorphism_group, vertex_orbits
 from .structure import WedderburnType, wedderburn_decompose
@@ -50,18 +50,12 @@ class ScanRecord:
     base: int
     orbit_size: int
     dims: tuple[Optional[int], ...]
-    eq_flags: tuple[Optional[bool], ...]
     types: Optional[tuple[Optional[WedderburnType], ...]]
     status: str
 
-    def validate(self) -> None:
-        known = [d for d in self.dims if d is not None]
-        if any(a > b for a, b in zip(known, known[1:])):
-            raise CertificationError("dims must be nondecreasing")
-        for lvl in range(4):
-            lo, hi = self.dims[lvl], self.dims[lvl + 1]
-            if lo is not None and hi is not None and self.eq_flags[lvl] != (lo == hi):
-                raise CertificationError("flags inconsistent with dims")
+    @property
+    def eq_flags(self) -> tuple[Optional[bool], ...]:
+        return equal_flags(self.dims)
 
 
 @dataclass
@@ -85,7 +79,8 @@ def classify_graph(
     """Classification records, one per base-vertex orbit (or per given base).
 
     bases=None dedups base vertices by automorphism orbit; an explicit list
-    skips the dedup.
+    skips the dedup.  time_budget (seconds, None for no limit) becomes one
+    deadline, which every search of the graph runs against.
     """
     if not graph.is_connected():
         raise ValueError("classification needs a connected graph")
@@ -94,35 +89,26 @@ def classify_graph(
         raise ValueError("levels must be within 0..4")
     g6 = graph6 if graph6 is not None else write_graph6(graph).decode("ascii")
     deadline = None if time_budget is None else time.monotonic() + time_budget
-
-    def remaining() -> Optional[float]:
-        return None if deadline is None else max(deadline - time.monotonic(), 0.01)
-
     if bases is None:
         try:
-            aut = automorphism_group(graph, node_budget=node_budget, time_budget=remaining())
+            aut = automorphism_group(graph, node_budget=node_budget, deadline=deadline)
         except BudgetExceededError:
-            nones = (None,) * 5
-            return [ScanRecord(g6, graph.n, 0, 0, nones, (None,) * 4, None, STATUS_BUDGET)]
+            return [ScanRecord(g6, graph.n, 0, 0, (None,) * 5, None, STATUS_BUDGET)]
         orbit_cells = vertex_orbits(aut).cells
         targets = [(cell[0], len(cell)) for cell in orbit_cells]
     else:
         targets = [(b, 1) for b in bases]
     targets.sort()
 
-    records = []
-    for base, orbit_size in targets:
-        records.append(
-            _classify_base(
-                graph, base, orbit_size, g6, levels, decompose, node_budget, remaining()
-            )
-        )
-    return records
+    return [
+        _classify_base(graph, base, orbit_size, g6, levels, decompose, node_budget, deadline)
+        for base, orbit_size in targets
+    ]
 
 
-def _classify_base(graph, base, orbit_size, g6, levels, decompose, node_budget, time_budget):
+def _classify_base(graph, base, orbit_size, g6, levels, decompose, node_budget, deadline):
     report, algs = chain_with_algebras(
-        graph, base, levels=levels, node_budget=node_budget, time_budget=time_budget
+        graph, base, levels=levels, node_budget=node_budget, deadline=deadline
     )
     status = STATUS_BUDGET if any(report.dims[lvl] is None for lvl in levels) else STATUS_OK
     types: list[Optional[WedderburnType]] = [None] * 5
@@ -137,13 +123,13 @@ def _classify_base(graph, base, orbit_size, g6, levels, decompose, node_budget, 
                 types[lvl] = wedderburn_decompose(algs[lvl]).type
             except DecompositionError:
                 status = STATUS_DECOMPOSE
-    rec = ScanRecord(
-        graph6=g6, n=graph.n, base=base, orbit_size=orbit_size,
-        dims=report.dims, eq_flags=report.equal_next,
+    # the dims need no check: each built level lies in the next built one (adjacent ones are
+    # certified, every level holds A, and x0's cell {x0} is a cell of levels 1-3), so they are
+    # nondecreasing, and the record's flags are read off them
+    return ScanRecord(
+        graph6=g6, n=graph.n, base=base, orbit_size=orbit_size, dims=report.dims,
         types=tuple(types) if decompose else None, status=status,
     )
-    rec.validate()
-    return rec
 
 
 def _matches_filter(rec: ScanRecord, filt: str) -> bool:
@@ -155,7 +141,7 @@ def _matches_filter(rec: ScanRecord, filt: str) -> bool:
 
 def _scan_line(
     payload: tuple[int, bytes], *, decompose: bool, node_budget: int, time_budget: Optional[float]
-) -> tuple[int, list[ScanRecord] | Graph6Error | None]:
+) -> list[ScanRecord] | Graph6Error | None:
     """Classify one corpus line; None marks a skipped disconnected graph.
 
     A malformed line comes back as its Graph6Error, not raised: in a pool a
@@ -165,14 +151,13 @@ def _scan_line(
     try:
         graph = parse_graph6(line)
     except Graph6Error as exc:
-        return lineno, Graph6Error(f"line {lineno}: {exc}")
+        return Graph6Error(f"line {lineno}: {exc}")
     if not graph.is_connected():
-        return lineno, None
-    records = classify_graph(
+        return None
+    return classify_graph(
         graph, decompose=decompose, node_budget=node_budget, time_budget=time_budget,
         graph6=line.decode("ascii"),
     )
-    return lineno, records
 
 
 def scan_corpus(
@@ -215,7 +200,7 @@ def scan_corpus(
 
 
 def _emit_scan(results, filt, stats) -> Iterator[ScanRecord]:
-    for _, records in results:
+    for records in results:
         if isinstance(records, Graph6Error):
             raise records
         stats.graphs += 1

@@ -1,6 +1,6 @@
 import json
 
-from terw.cli import main
+from terw.cli import build_parser, main
 from terw.graphs import gen_cycle, gen_delta, gen_paley, write_graph6
 
 
@@ -134,6 +134,31 @@ def test_bad_budget_is_exit_1(capsys, tmp_path):
         assert code == 1, (flag, value)
         assert flag in err
     assert run(capsys, "scan", str(corpus), "--time-budget", "0.5", "--node-budget", "100")[0] == 0
+
+
+def test_scan_budgets_default_to_the_library_defaults():
+    from terw.pipeline import DEFAULT_NODE_BUDGET, DEFAULT_TIME_BUDGET
+
+    args = build_parser().parse_args(["scan", "x.g6"])
+    assert (args.node_budget, args.time_budget) == (DEFAULT_NODE_BUDGET, DEFAULT_TIME_BUDGET)
+
+
+def test_scan_out_is_corpus_is_exit_1(capsys, tmp_path):
+    corpus = tmp_path / "c.g6"
+    corpus.write_bytes(b"Bw\nDh{\n")
+    code, out, err = run(capsys, "scan", str(corpus), "--jobs", "1", "--out", str(corpus))
+    assert (code, out) == (1, "")
+    assert "--out" in err
+    assert corpus.read_bytes() == b"Bw\nDh{\n"
+
+
+def test_scan_missing_corpus_keeps_old_output(capsys, tmp_path):
+    old = tmp_path / "old.jsonl"
+    old.write_bytes(b"kept\n")
+    code, _, err = run(capsys, "scan", str(tmp_path / "missing.g6"), "--out", str(old))
+    assert code == 2
+    assert "missing.g6" in err
+    assert old.read_bytes() == b"kept\n"
 
 
 def test_compute_one_vertex_graph(capsys, tmp_path):

@@ -1,5 +1,6 @@
 """Package layout: no import cycle or unused import inside terw, test
-oracles stay out of it, and every certificate of the chain has a test."""
+oracles stay out of it, every certificate of the chain has a test, and the
+clock is read in one place."""
 
 import ast
 import pathlib
@@ -151,3 +152,38 @@ def test_every_chain_certificate_has_a_test():
     sources = [p.read_text() for p in tests.glob("test_*.py") if p.name != pathlib.Path(__file__).name]
     assert messages and None not in messages
     assert [m for m in messages if not any(m in src for src in sources)] == []
+
+
+def clock_reads(path: pathlib.Path) -> list[str]:
+    """The function, as 'Class.method' or 'function', of every read of
+    ``monotonic`` in a module; '<module>' for one outside any function."""
+    out = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = scope + [node.name]
+        if (isinstance(node, ast.Attribute) and node.attr == "monotonic") or (
+            isinstance(node, ast.Name) and node.id == "monotonic"
+        ):
+            out.append(".".join(scope) or "<module>")
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text()), [])
+    return out
+
+
+def test_clock_read_finder(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text(
+        "import time\nfrom time import monotonic\nT = time.monotonic()\n"
+        "class S:\n    def tick(self):\n        return monotonic() > time.time()\n"
+    )
+    assert clock_reads(mod) == ["<module>", "S.tick"]
+
+
+def test_clock_read_only_where_the_deadline_is_set_and_checked():
+    # classify_graph turns the per-graph time budget into one deadline, and the
+    # search compares the clock with it; everything between passes the deadline on
+    reads = [f"{path.stem}.{where}" for path in PACKAGE.glob("*.py") for where in clock_reads(path)]
+    assert sorted(reads) == ["groups._SearchState.tick", "pipeline.classify_graph"]

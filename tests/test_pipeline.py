@@ -11,7 +11,6 @@ from terw.errors import CertificationError
 from terw.graphs import gen_cycle, gen_delta, gen_paley, gen_path, write_graph6
 from terw.groups import Perm, PermGroup
 from terw.pipeline import (
-    ScanRecord,
     ScanStats,
     classify_graph,
     emit_report,
@@ -80,12 +79,14 @@ class TestClassify:
         assert rec.dims[3] is None and rec.eq_flags[2] is None
         assert built == [4, 0, 1, 2]
 
-    def test_record_validation(self):
-        rec = ScanRecord("Bw", 3, 0, 3, (1, 2, 2, 2, 2), (False, True, True, True), None, "ok")
-        rec.validate()
-        bad = ScanRecord("Bw", 3, 0, 3, (1, 2, 2, 2, 2), (True, True, True, True), None, "ok")
-        with pytest.raises(AssertionError):
-            bad.validate()
+    def test_scan_computes_no_witness(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a scan computed a witness")
+
+        monkeypatch.setattr(algebras, "witness", refuse)
+        recs = list(scan_corpus([write_graph6(gen_delta(5)), write_graph6(gen_cycle(6))], jobs=1))
+        assert [r.status for r in recs] == ["ok"] * 4
+        assert recs[2].eq_flags == (False, True, False, True)
 
 
 @st.composite
