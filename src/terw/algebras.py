@@ -207,7 +207,8 @@ def build_T(
             raise ValueError(f"stabilizer acts on {group.n} points, the graph has {n}")
         if any(g(base) != base for g in group.gens):
             raise ValueError(f"a stabilizer generator moves the base vertex {base}")
-        if not all(is_automorphism(graph, g) for g in group.gens):
+        # level 4 certifies the generators through A on their orbitals
+        if level == 3 and not all(is_automorphism(graph, g) for g in group.gens):
             raise ValueError("a stabilizer generator is not an automorphism of the graph")
     if level == 1:
         cells = ((base,),)
@@ -225,7 +226,10 @@ def build_T(
         # generator preserves them, a diagonal pair's orbit is diagonal, and transposing commutes
         # with the diagonal action; A lies in T4 once it is constant on them
         cells, labels = None, orbitals(group).labels
+        # A is constant on the orbitals of <gens> exactly when every generator is an automorphism
         if not _constant_on_cells(a, labels):
+            if stab is not None:
+                raise ValueError("a stabilizer generator is not an automorphism of the graph")
             raise CertificationError("A is not constant on an orbital cell; a stabilizer generator is not an automorphism")
         basis = cell_span(n, labels)
         # a basis generates its own span

@@ -15,7 +15,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import CertificationError, Graph6Error
+from .errors import Graph6Error
 
 GRAPH6_HEADER = b">>graph6<<"
 GRAPH6_MAX_N = 258048
@@ -276,130 +276,58 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-class _GF:
-    """Arithmetic in GF(p^a) as polynomial residues, coefficients ascending.
+def _field(p: int, a: int) -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
+    """GF(p^a) as residues modulo a monic polynomial f of degree a: returns f
+    and ``powers[e] = xi^e`` for e < q - 1, q = p^a.
 
-    The modulus is the lexicographically smallest monic irreducible of
-    degree a, where polynomials are ordered by their degree-major integer
-    encoding sum(c_i * p^i); elements use the same encoding for ordering.
+    Polynomials and residues are coefficient tuples, lowest degree first,
+    ordered by their code sum(c_i * p^i).  f is the first monic polynomial of
+    degree a, in the code order of its lower coefficients, whose residues form
+    a field, and xi the residue of smallest code with order q - 1.  One walk
+    over the powers of each residue decides both: powers that first return
+    to 1 after q - 1 steps are all q - 1 nonzero residues, so these are
+    units and the ring is a field; powers that have not returned after
+    q - 1 steps belong to no unit, so the ring is none.
     """
+    q = p**a
+    elems = [tuple(code // p**i % p for i in range(a)) for code in range(q)]
+    one = elems[1]
 
-    def __init__(self, p: int, a: int):
-        self.p = p
-        self.a = a
-        self.q = p**a
-        self.modulus = self._find_modulus()
+    def mul(x, y):
+        prod = [0] * (2 * a - 1)
+        for i, c in enumerate(x):
+            for j, d in enumerate(y):
+                prod[i + j] += c * d
+        for k in range(2 * a - 2, a - 1, -1):
+            for t in range(a):
+                prod[k - a + t] -= prod[k] * f[t]
+        return tuple(c % p for c in prod[:a])
 
-    def _poly_from_code(self, code: int, deg: int) -> tuple[int, ...]:
-        cs = []
-        for _ in range(deg):
-            cs.append(code % self.p)
-            code //= self.p
-        return tuple(cs)
-
-    def _find_modulus(self) -> tuple[int, ...]:
-        # monic x^a + f(x), scanned in encoding order of f
-        if self.a == 1:
-            return (0, 1)
-        for code in range(self.q):
-            f = self._poly_from_code(code, self.a) + (1,)
-            if self._is_irreducible(f):
-                return f
-        raise AssertionError("no irreducible polynomial found")
-
-    def _poly_mulmod(self, x, y, mod):
-        p = self.p
-        prod = [0] * (len(x) + len(y) - 1)
-        for i, xi in enumerate(x):
-            if xi:
-                for j, yj in enumerate(y):
-                    prod[i + j] = (prod[i + j] + xi * yj) % p
-        # reduce modulo the monic polynomial mod
-        dm = len(mod) - 1
-        for k in range(len(prod) - 1, dm - 1, -1):
-            c = prod[k]
-            if c:
-                prod[k] = 0
-                for t in range(dm):
-                    prod[k - dm + t] = (prod[k - dm + t] - c * mod[t]) % p
-        return tuple(prod[:dm]) if dm > 0 else ()
-
-    def _is_irreducible(self, f: tuple[int, ...]) -> bool:
-        # trial division by all monic polynomials of degree 1..deg(f)//2
-        deg = len(f) - 1
-        for d in range(1, deg // 2 + 1):
-            for code in range(self.p**d):
-                g = self._poly_from_code(code, d) + (1,)
-                if self._poly_divides(g, f):
-                    return False
-        return True
-
-    def _poly_divides(self, g, f) -> bool:
-        p = self.p
-        rem = list(f)
-        dg = len(g) - 1
-        while len(rem) - 1 >= dg:
-            c = rem[-1]
-            if c:
-                for t in range(dg + 1):
-                    rem[len(rem) - 1 - dg + t] = (rem[len(rem) - 1 - dg + t] - c * g[t]) % p
-            rem.pop()
-        return not any(rem)
-
-    # elements are coefficient tuples of length a
-    def zero(self) -> tuple[int, ...]:
-        return (0,) * self.a
-
-    def one(self) -> tuple[int, ...]:
-        return (1,) + (0,) * (self.a - 1)
-
-    def add(self, x, y):
-        return tuple((a + b) % self.p for a, b in zip(x, y))
-
-    def sub(self, x, y):
-        return tuple((a - b) % self.p for a, b in zip(x, y))
-
-    def mul(self, x, y):
-        r = self._poly_mulmod(x, y, self.modulus)
-        return r + (0,) * (self.a - len(r))
-
-    def pow(self, x, k: int):
-        r = self.one()
-        b = x
-        while k:
-            if k & 1:
-                r = self.mul(r, b)
-            b = self.mul(b, b)
-            k >>= 1
-        return r
-
-    def mult_order(self, x) -> int:
-        if x == self.zero():
-            return 0
-        k = 1
-        y = x
-        while y != self.one():
-            y = self.mul(y, x)
-            k += 1
-        return k
-
-    def primitive_element(self) -> tuple[int, ...]:
-        for code in range(1, self.q):
-            x = self._poly_from_code(code, self.a)
-            if self.mult_order(x) == self.q - 1:
-                return x
-        raise AssertionError("no primitive element found")
+    # the loops return: a monic irreducible of degree a exists, and its field has a primitive element
+    for f in (lower + (1,) for lower in elems):
+        for xi in elems[1:]:
+            powers = [one]
+            while len(powers) < q and (x := mul(powers[-1], xi)) != one:
+                powers.append(x)
+            if len(powers) == q - 1:
+                return f, powers
+            if len(powers) == q:
+                break
 
 
 @dataclass(frozen=True)
 class PaleyConstruction:
     """Record of the field data behind a Paley graph.
 
-    ``order`` lists the field elements in vertex-index order: zero first,
-    then the even powers of the primitive element xi starting at xi^0 = 1,
-    then the odd powers.  This ordering makes the vertex permutation
-    x -> x*xi^2 act as a block of two disjoint cycles on indices, which the
-    analytic stabilizer generators rely on.
+    Field elements are coefficient tuples modulo ``modulus_poly``, lowest
+    degree first.  ``order`` lists them in vertex-index order: zero first,
+    then the even powers xi^0 = 1, xi^2, ... of the primitive element xi,
+    then the odd powers xi^1, xi^3, ...  So xi^e sits at vertex
+    1 + e // 2 + (e % 2) * (q - 1) / 2, the squares are the even powers,
+    and a field map that acts on exponents (x -> x*xi^2 as e -> e + 2, the
+    Frobenius x -> x^p as e -> p*e, mod q - 1) is a vertex permutation
+    read off without field arithmetic; the analytic stabilizer generators
+    rely on this.
     """
 
     p: int
@@ -414,20 +342,15 @@ class PaleyConstruction:
     def q(self) -> int:
         return self.p**self.a
 
-    def gf(self) -> _GF:
-        f = _GF(self.p, self.a)
-        if f.modulus != self.modulus_poly:
-            raise CertificationError("field modulus differs from the construction's")
-        return f
-
     def graph(self) -> Graph:
-        """The Paley graph: vertices i < j adjacent iff order[i] - order[j] is a square."""
-        f = self.gf()
+        """The Paley graph: vertices i < j adjacent iff order[i] - order[j],
+        taken digit-wise mod p, is a square."""
+        p, order, squares = self.p, self.order, self.squares
         return Graph(self.q, [
             (i, j)
             for i in range(self.q)
             for j in range(i + 1, self.q)
-            if f.sub(self.order[i], self.order[j]) in self.squares
+            if tuple((x - y) % p for x, y in zip(order[i], order[j])) in squares
         ])
 
 
@@ -445,18 +368,12 @@ def gen_paley(p: int, a: int = 1) -> tuple[Graph, PaleyConstruction]:
     q = p**a
     if q % 4 != 1:
         raise ValueError(f"p^a = {q} is not congruent to 1 mod 4")
-    f = _GF(p, a)
-    xi = f.primitive_element()
-    k = (q - 1) // 2
-    powers = [f.one()]
-    for _ in range(q - 2):
-        powers.append(f.mul(powers[-1], xi))
-    order = [f.zero()] + [powers[2 * i] for i in range(k)] + [powers[2 * i + 1] for i in range(k)]
-    squares = frozenset(powers[2 * i] for i in range(k))
-    index = {x: i for i, x in enumerate(order)}
+    modulus, powers = _field(p, a)
+    order = [(0,) * a] + powers[0::2] + powers[1::2]
     pc = PaleyConstruction(
-        p=p, a=a, modulus_poly=f.modulus, xi=xi,
-        squares=squares, order=tuple(order), index=index,
+        p=p, a=a, modulus_poly=modulus, xi=powers[1],
+        squares=frozenset(powers[0::2]), order=tuple(order),
+        index={x: i for i, x in enumerate(order)},
     )
     return pc.graph(), pc
 

@@ -322,21 +322,25 @@ def stabilizer(
 # analytic generators for Paley graphs
 # ---------------------------------------------------------------------------
 
-def _perm_from_field_map(pc: PaleyConstruction, fn) -> Perm:
-    return Perm(tuple(pc.index[fn(x)] for x in pc.order))
-
-
 def paley_stabilizer_generators(pc: PaleyConstruction) -> PermGroup:
     """Stabilizer of the zero vertex of a Paley graph, analytically.
 
-    Generated by multiplication by xi^2 and the Frobenius x -> x^p; this
+    Generated by multiplication by xi^2 and the Frobenius x -> x^p, which
+    act on the exponent e of xi^e as e -> e + 2 and e -> p*e (mod q - 1)
+    and fix zero; vertex 1 + e // 2 holds xi^e for even e, vertex
+    1 + (q - 1) / 2 + e // 2 for odd e (``PaleyConstruction.order``).  This
     avoids backtracking on strongly regular inputs.  Both generators are
     verified to preserve adjacency.
     """
-    f = pc.gf()
-    xi2 = f.mul(pc.xi, pc.xi)
-    sigma = _perm_from_field_map(pc, lambda x: f.mul(x, xi2))
-    frob = _perm_from_field_map(pc, lambda x: f.pow(x, pc.p))
+    m = pc.q - 1
+    exponents = [*range(0, m, 2), *range(1, m, 2)]
+
+    def on_exponents(fn) -> Perm:
+        images = (fn(e) % m for e in exponents)
+        return Perm((0,) + tuple(1 + e // 2 + e % 2 * (m // 2) for e in images))
+
+    sigma = on_exponents(lambda e: e + 2)
+    frob = on_exponents(lambda e: pc.p * e)
     gens = [g for g in (sigma, frob) if not g.is_identity()]
     graph = pc.graph()
     if not all(is_automorphism(graph, g) for g in gens):

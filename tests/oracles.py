@@ -658,11 +658,11 @@ def perm_cycles(perm: Perm) -> list[tuple[int, ...]]:
 
 def paley_automorphism_group(pc: PaleyConstruction) -> PermGroup:
     """Full automorphism group: translations plus the zero stabilizer."""
-    f = pc.gf()
-    translations = []
-    for i in range(pc.a):
-        alpha = tuple(1 if j == i else 0 for j in range(pc.a))
-        translations.append(Perm(tuple(pc.index[f.add(x, alpha)] for x in pc.order)))
+    # x -> x + t^i for each basis element t^i, added on coefficient tuples mod p
+    translations = [
+        Perm(tuple(pc.index[tuple((c + (j == i)) % pc.p for j, c in enumerate(x))] for x in pc.order))
+        for i in range(pc.a)
+    ]
     stab = paley_stabilizer_generators(pc)
     graph = pc.graph()
     if not all(is_automorphism(graph, g) for g in translations):

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,9 @@ from terw.graphs import (
     gen_paley,
     gen_path,
     gen_star,
+    write_graph6,
 )
+from terw.groups import paley_stabilizer_generators
 
 
 class TestFamilies:
@@ -111,14 +115,34 @@ class TestPaley:
             g, pc = gen_paley(p, a)
             q = p**a
             assert set(degree_sequence(g)) == {(q - 1) // 2}
-            f = pc.gf()
             for s in pc.squares:
-                assert f.sub(f.zero(), s) in pc.squares
+                assert tuple(-c % p for c in s) in pc.squares
 
     def test_paley_vertex_order(self):
         _, pc = gen_paley(5)
         # 0 first, then even powers of xi=2 (1, 4), then odd powers (2, 3)
         assert [e[0] for e in pc.order] == [0, 1, 4, 2, 3]
+
+    def test_paley_construction_digest(self):
+        # one sha256 over every Paley graph with q < 200 (28 prime powers q = 1 mod 4):
+        # graph6, vertex order, modulus, xi and the analytic generators' images, in q order;
+        # the digest was taken from the polynomial-arithmetic field construction
+        cases = sorted(
+            (p**a, p, a)
+            for p in range(3, 200)
+            if all(p % d for d in range(2, p))
+            for a in range(1, 5)
+            if p**a < 200 and p**a % 4 == 1
+        )
+        assert len(cases) == 28
+        h = hashlib.sha256()
+        for _, p, a in cases:
+            g, pc = gen_paley(p, a)
+            assert pc.index == {x: i for i, x in enumerate(pc.order)}
+            assert pc.squares == frozenset(pc.order[1 : (pc.q + 1) // 2])
+            images = [s.images for s in paley_stabilizer_generators(pc).gens]
+            h.update(repr((p, a, write_graph6(g), pc.order, pc.modulus_poly, pc.xi, images)).encode())
+        assert h.hexdigest() == "377f7b3cada513f2ac00b05fb019e6d9b2e1f9b0b799c06557470f5f47ea3038"
 
 
 class TestDetectors:

@@ -1,6 +1,6 @@
 """Package layout: no import cycle or unused import inside terw, test
-oracles stay out of it, every certificate of the chain has a test, and the
-clock is read in one place."""
+oracles stay out of it, every certificate of the chain has a test, the
+clock is read in one place, and checks are typed exceptions, not assert."""
 
 import ast
 import pathlib
@@ -187,3 +187,31 @@ def test_clock_read_only_where_the_deadline_is_set_and_checked():
     # search compares the clock with it; everything between passes the deadline on
     reads = [f"{path.stem}.{where}" for path in PACKAGE.glob("*.py") for where in clock_reads(path)]
     assert sorted(reads) == ["groups._SearchState.tick", "pipeline.classify_graph"]
+
+
+def bare_assertions(path: pathlib.Path) -> list[int]:
+    """Lines of every ``assert`` statement and every ``raise AssertionError``
+    in a module; a typed check such as CertificationError is not one."""
+    out = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Raise):
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if getattr(exc, "id", None) == "AssertionError":
+                out.append(node.lineno)
+        elif isinstance(node, ast.Assert):
+            out.append(node.lineno)
+    return sorted(out)
+
+
+def test_bare_assertion_finder(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text(
+        "def f(x):\n    assert x\n    if x > 1:\n        raise AssertionError('unreachable')\n"
+        "    if x > 2:\n        raise AssertionError\n    raise CertificationError('a fact fails')\n"
+    )
+    assert bare_assertions(mod) == [2, 4, 6]
+
+
+def test_checks_are_typed_exceptions():
+    # an assert vanishes under python -O; a check raises a typed exception instead
+    assert {path.name: bare_assertions(path) for path in PACKAGE.glob("*.py") if bare_assertions(path)} == {}
