@@ -46,12 +46,15 @@ A on T4's orbital cells per base, and otherwise checks on vertex labels:
 A failed certificate raises CertificationError.
 
 Containment also makes the chain incremental.  ``chain_with_algebras``
-builds T4 first (its stabilizer search comes before level 3's), then
-levels 0-3 in ascending order:
+builds T4 first (level 3 then takes the group of its stabilizer search:
+``stabilizer`` keeps its last result), then levels 0-3 in ascending order:
 
   * T0 = <A> is span{I, A, ..., A^(k-1)}, k the number of distinct
     eigenvalues of A, so its closure inserts A's powers as one block after
-    I (``algebra_closure`` with one generator);
+    I (``algebra_closure`` with one generator).  It does not depend on the
+    base vertex, so it is closed in full once per graph
+    (``_adjacency_algebra`` keeps the last graph's, read-only) and each base
+    wraps the kept rows; a T0 of dim T4 takes T4's basis object;
   * T1 is T0 + U⊗U, with U = span{A^i e_x0} = T0 e_x0 the base vertex's
     cyclic module, and needs no closure.  T0 + U⊗U holds A and
     E_x0 = e_x0 e_x0^T; each u v^T = A^i E_x0 A^j is a word; and the sum is
@@ -67,7 +70,7 @@ levels 0-3 in ascending order:
     extend the basis of the level below (``algebra_closure(...,
     below=...)``); a level equal to the one below costs one reduction and
     shares its basis object;
-  * every closure of levels 0-3 stops once it reaches dim T4 (``within``):
+  * every closure of levels 1-3 stops once it reaches dim T4 (``within``):
     a subspace of T4 of that dimension is T4, so that level takes T4's
     basis object, and equal levels share one object all the way up.
 
@@ -77,6 +80,8 @@ containment of the level below and in T4 have passed.
 
 from __future__ import annotations
 
+import copy
+import functools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -132,6 +137,22 @@ class AlgebraBasis:
         return self.basis.contains(mat)
 
 
+@functools.lru_cache(maxsize=1)
+def _adjacency_algebra(graph: Graph) -> SpanBasis:
+    """Basis of T0 = <A> whose rows and pivot columns are read-only.
+
+    T0 does not depend on the base vertex, and a scan builds the chains of
+    one graph's bases in a row, so the last graph's T0 is kept and every
+    later base wraps the same arrays in its own (shallow) copy of the
+    ``SpanBasis``.  Nothing writes them: a basis that grows replaces its
+    rows array.
+    """
+    basis = algebra_closure([graph.adjacency_matrix()], side=graph.n)
+    for arr in (basis.rows, basis._piv):
+        arr.setflags(write=False)
+    return basis
+
+
 def _constant_on_cells(mats: np.ndarray, labels: np.ndarray) -> bool:
     """A matrix, or each matrix of a stack, is constant on every cell."""
     flat = mats.reshape(-1, labels.size)
@@ -162,9 +183,11 @@ def build_T(
     """Exact basis of the level-0..4 algebra of (graph, base).
 
     Level 0 ignores the base vertex (the adjacency algebra does not depend
-    on it) but records it.  Levels 3 and 4 need the base-vertex stabilizer:
-    pass one in (e.g. an analytic Paley group) or it is found by search; a
-    given one with a generator that moves the base vertex or is no
+    on it) but records it; its rows are the graph's one kept T0, read-only.
+    Levels 3 and 4 need the base-vertex stabilizer: pass one in (e.g. an
+    analytic Paley group) or it is found by search, which keeps its last
+    group, so level 3 after level 4 with the same arguments searches no
+    more; a given one with a generator that moves the base vertex or is no
     automorphism is a ValueError, and a search past node_budget nodes or
     the deadline (a ``time.monotonic()`` instant) a BudgetExceededError.
     Level 4 is read off its orbital labels, whose cells already are the
@@ -179,10 +202,10 @@ def build_T(
     is certified: each of below's cells is a union of this level's cells.
 
     ``within`` is the level-4 algebra of the same (graph, base), given to
-    levels 0-3.  Their closure stops once it reaches dim T4, a level equal
-    to T4 returns T4's basis object, and the level is certified inside T4:
-    each of its cells is a union of stabilizer orbits, T4's diagonal cells
-    (A was certified when T4 was built).  Without ``below`` and ``within``
+    levels 0-3.  The closure of levels 1-3 stops once it reaches dim T4, a
+    level equal to T4 returns T4's basis object, and the level is certified
+    inside T4: each of its cells is a union of stabilizer orbits, T4's
+    diagonal cells (A was certified when T4 was built).  Without ``below`` and ``within``
     every level is built from scratch.
     """
     if level not in LEVELS:
@@ -235,7 +258,12 @@ def build_T(
         # a basis generates its own span
         gens = basis.rows.reshape(-1, n, n)
         names = tuple(f"A[orbital {i}]" for i in range(basis.dim))
-    if level == 1 and below is not None:
+    if level == 0:
+        # one T0 per graph (_adjacency_algebra); T0 ⊆ T4, so equal dims make it T4
+        basis = copy.copy(_adjacency_algebra(graph))
+        if within is not None and basis.dim == within.dim:
+            basis = within.basis
+    elif level == 1 and below is not None:
         # T1 = T0 + U⊗U, U = T0 e_x0 (see the module docstring)
         module = RowSpace(n)
         module.insert_block(below.basis.rows.reshape(-1, n, n)[:, :, base])
@@ -324,12 +352,15 @@ def chain_with_algebras(
     certifies the containment of ``below`` and of T4 from partition facts
     (see the module docstring) before it returns, so every flag between
     adjacent built levels is certified.  Without a given stabilizer, level
-    4 and then level 3 each search it under the node budget and the one
-    ``time.monotonic()`` deadline.  A BudgetExceededError from either
-    search leaves levels 3 and 4 None in the dims and the returned list, as
-    are the levels not requested; levels 0-2 are still built, without the
-    cap when level 4 missed.  ``witness`` gives, on request, a matrix of a
-    strict step's larger algebra outside the smaller one.
+    4 searches it under the node budget and the one ``time.monotonic()``
+    deadline, and level 3 asks again with the same arguments and gets the
+    kept group without a search, so it cannot miss the budget once level 4
+    has met it.  A BudgetExceededError (from level 4's search, or level
+    3's when level 4 is not requested) leaves levels 3 and 4 None in the
+    dims and the returned list, as are the levels not requested; levels
+    0-2 are still built, without T4 when level 4 missed.  ``witness``
+    gives, on request, a matrix of a strict step's larger algebra outside
+    the smaller one.
     """
     algs: list[Optional[AlgebraBasis]] = [None] * len(LEVELS)
     wanted = sorted(set(levels), key=lambda lvl: (lvl < 4, lvl))

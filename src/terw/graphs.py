@@ -337,21 +337,16 @@ class PaleyConstruction:
     squares: frozenset[tuple[int, ...]]
     order: tuple[tuple[int, ...], ...]
     index: dict[tuple[int, ...], int] = field(compare=False, hash=False)
+    # the graph gen_paley built from this record
+    _graph: Graph = field(compare=False, hash=False, repr=False)
 
     @property
     def q(self) -> int:
         return self.p**self.a
 
     def graph(self) -> Graph:
-        """The Paley graph: vertices i < j adjacent iff order[i] - order[j],
-        taken digit-wise mod p, is a square."""
-        p, order, squares = self.p, self.order, self.squares
-        return Graph(self.q, [
-            (i, j)
-            for i in range(self.q)
-            for j in range(i + 1, self.q)
-            if tuple((x - y) % p for x, y in zip(order[i], order[j])) in squares
-        ])
+        """The Paley graph, the one ``gen_paley`` returned with this record."""
+        return self._graph
 
 
 def gen_paley(p: int, a: int = 1) -> tuple[Graph, PaleyConstruction]:
@@ -370,12 +365,19 @@ def gen_paley(p: int, a: int = 1) -> tuple[Graph, PaleyConstruction]:
         raise ValueError(f"p^a = {q} is not congruent to 1 mod 4")
     modulus, powers = _field(p, a)
     order = [(0,) * a] + powers[0::2] + powers[1::2]
+    squares = frozenset(powers[0::2])
+    # vertices i < j are adjacent iff order[i] - order[j], taken digit-wise mod p, is a square
+    graph = Graph(q, [
+        (i, j)
+        for i in range(q)
+        for j in range(i + 1, q)
+        if tuple((x - y) % p for x, y in zip(order[i], order[j])) in squares
+    ])
     pc = PaleyConstruction(
-        p=p, a=a, modulus_poly=modulus, xi=powers[1],
-        squares=frozenset(powers[0::2]), order=tuple(order),
-        index={x: i for i, x in enumerate(order)},
+        p=p, a=a, modulus_poly=modulus, xi=powers[1], squares=squares, order=tuple(order),
+        index={x: i for i, x in enumerate(order)}, _graph=graph,
     )
-    return pc.graph(), pc
+    return graph, pc
 
 
 # ---------------------------------------------------------------------------

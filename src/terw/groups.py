@@ -11,6 +11,7 @@ stabilizers tractable.
 
 from __future__ import annotations
 
+import functools
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -298,6 +299,7 @@ def automorphism_group(
     return _run_search(graph, [tuple(range(graph.n))], node_budget, deadline, "computed-by-search")
 
 
+@functools.lru_cache(maxsize=1)
 def stabilizer(
     graph: Graph,
     base: int,
@@ -308,7 +310,12 @@ def stabilizer(
     """Generating set of the stabilizer of the base vertex.
 
     Runs the same backtracking with the base individualized up front rather
-    than filtering the full group.
+    than filtering the full group.  The last call's group is kept: a chain
+    asks for the stabilizer at level 4 and again at level 3 with the same
+    arguments, and the second call returns the first one's (frozen) group
+    without a search.  A BudgetExceededError is not kept, so a repeated
+    call searches again; once a search has succeeded, a repeat of it cannot
+    miss its budget.
     """
     if not 0 <= base < graph.n:
         raise ValueError(f"base vertex {base} out of range")

@@ -7,7 +7,9 @@ so one representative suffices).  Each record comes from one
 chain's and its flags are read off them, a level the chain left None (a search
 budget miss) makes the record ``stabilizer-budget-exceeded``, and a level
 whose flag says it equals the level below takes that level's Wedderburn
-type instead of decomposing again.  Scans are deterministic for any worker
+type instead of decomposing again.  T0 = <A> is the same span, with the
+same rows and generator, at every base, so it is decomposed for the first
+base of a graph only.  Scans are deterministic for any worker
 count: workers map over whole graphs and results are merged in input
 order, with records sorted by base representative inside each graph.
 """
@@ -100,13 +102,22 @@ def classify_graph(
         targets = [(b, 1) for b in bases]
     targets.sort()
 
+    # T0's type once decomposed, None after a DecompositionError
+    t0_type: list[Optional[WedderburnType]] = []
     return [
-        _classify_base(graph, base, orbit_size, g6, levels, decompose, node_budget, deadline)
+        _classify_base(graph, base, orbit_size, g6, levels, decompose, node_budget, deadline, t0_type)
         for base, orbit_size in targets
     ]
 
 
-def _classify_base(graph, base, orbit_size, g6, levels, decompose, node_budget, deadline):
+def _wedderburn_type(alg) -> Optional[WedderburnType]:
+    try:
+        return wedderburn_decompose(alg).type
+    except DecompositionError:
+        return None
+
+
+def _classify_base(graph, base, orbit_size, g6, levels, decompose, node_budget, deadline, t0_type):
     report, algs = chain_with_algebras(
         graph, base, levels=levels, node_budget=node_budget, deadline=deadline
     )
@@ -119,9 +130,14 @@ def _classify_base(graph, base, orbit_size, g6, levels, decompose, node_budget, 
                 # normal-form rows and the same seeded type (or the same failure)
                 types[lvl] = types[lvl - 1]
                 continue
-            try:
-                types[lvl] = wedderburn_decompose(algs[lvl]).type
-            except DecompositionError:
+            if lvl == 0 and t0_type:
+                # T0 = <A>: the same span, rows and generators [A] at every base of the graph
+                types[0] = t0_type[0]
+            else:
+                types[lvl] = _wedderburn_type(algs[lvl])
+                if lvl == 0:
+                    t0_type.append(types[0])
+            if types[lvl] is None:
                 status = STATUS_DECOMPOSE
     # the dims need no check: each built level lies in the next built one (adjacent ones are
     # certified, every level holds A, and x0's cell {x0} is a cell of levels 1-3), so they are

@@ -6,6 +6,14 @@ import pytest
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent))
 
 from corpusgen import connected_graphs, corpus_lines  # noqa: E402
+from terw import algebras, groups  # noqa: E402
+
+
+@pytest.fixture(autouse=True)
+def fresh_memos():
+    """Empty the T0 and stabilizer memos, so no test sees another test's entry."""
+    algebras._adjacency_algebra.cache_clear()
+    groups.stabilizer.cache_clear()
 
 
 @pytest.fixture(scope="session")

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import terw
-from terw import algebras
+from terw import algebras, groups
 from terw.graphs import Graph, gen_cycle, gen_delta, gen_paley, gen_path, gen_star
 from terw.groups import (
     OrbitPartition,
@@ -209,6 +209,15 @@ class TestChainReport:
         assert chain_with_algebras(gen_delta(5), 4, stab=given)[0].dims == rep.dims
         assert calls == [4, 4]
 
+    def test_level3_takes_level4_search(self, monkeypatch):
+        # build_T asks for the stabilizer at levels 4 and 3; the memo searches once
+        searches = []
+        search = groups._run_search
+        monkeypatch.setattr(groups, "_run_search", lambda *a: searches.append(a[0]) or search(*a))
+        rep, _ = chain_with_algebras(gen_delta(5), 4)
+        assert len(searches) == 1
+        assert rep.dims == (5, 11, 11, 13, 13)
+
     def test_searches_share_one_deadline(self, monkeypatch):
         deadlines = []
         search = algebras.stabilizer
@@ -354,6 +363,36 @@ class TestClosureAgainstRowwiseOracle:
         assert object in dtypes
         assert basis.dim == 16 and basis.rows.dtype == np.int64
         _assert_same_basis(basis, rowwise_closure(gens), "object batch")
+
+
+class TestAdjacencyAlgebraMemo:
+    """T0 is closed once per graph and shared, read-only, by every base."""
+
+    def test_level0_equals_a_fresh_closure_at_every_base(self, corpus):
+        for n in range(1, 7):
+            for g in corpus[n]:
+                fresh = algebra_closure([g.adjacency_matrix()])
+                for base in range(n):
+                    basis = build_T(0, g, base).basis
+                    assert basis.pivots == fresh.pivots, (n, base)
+                    assert basis.rows.tolist() == fresh.rows.tolist(), (n, base)
+
+    def test_level0_rows_are_read_only(self):
+        basis = build_T(0, gen_delta(5), 0).basis
+        with pytest.raises(ValueError):
+            basis.rows[0, 0] = 7
+        with pytest.raises(ValueError):
+            basis._piv[0] = 1
+
+    def test_every_base_leaves_the_first_t0_unchanged(self, corpus):
+        for g in corpus[6][:40]:
+            first = build_T(0, g, 0).basis
+            rows = first.rows.copy()
+            for base in range(g.n):
+                algs = chain_with_algebras(g, base)[1]
+                # a T0 below T4 wraps the one kept rows array; one equal to T4 is T4
+                assert algs[0].basis is algs[4].basis or algs[0].basis.rows is first.rows, (g, base)
+            assert first.rows.tolist() == rows.tolist()
 
 
 class TestSeededChain:

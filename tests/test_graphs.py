@@ -118,6 +118,17 @@ class TestPaley:
             for s in pc.squares:
                 assert tuple(-c % p for c in s) in pc.squares
 
+    def test_paley_graph_built_once(self, monkeypatch):
+        g, pc = gen_paley(13)
+        assert pc.graph() is g
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the Paley graph was built again")
+
+        # certifying the analytic generators builds no graph
+        monkeypatch.setattr(Graph, "__init__", refuse)
+        assert paley_stabilizer_generators(pc).n == 13
+
     def test_paley_vertex_order(self):
         _, pc = gen_paley(5)
         # 0 first, then even powers of xi=2 (1, 4), then odd powers (2, 3)

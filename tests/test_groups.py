@@ -13,6 +13,7 @@ from oracles import (
     perm_cycles,
     perm_inverse,
 )
+from terw import groups
 from terw.errors import BudgetExceededError
 from terw.graphs import bfs_distance_partition, gen_cycle, gen_delta, gen_paley, gen_path, gen_star
 from terw.groups import (
@@ -104,6 +105,25 @@ class TestStabilizer:
                 got = sorted(vertex_orbits(st).cells)
                 want = sorted(brute_stabilizer_orbits(g, base))
                 assert got == want
+
+    def test_budget_miss_is_not_kept(self):
+        # a miss raises again on a repeat, and an unbudgeted call then searches in full
+        for _ in range(2):
+            with pytest.raises(BudgetExceededError):
+                stabilizer(gen_star(7), 1, node_budget=2)
+        assert group_order(stabilizer(gen_star(7), 1)) == 120
+
+    def test_repeat_call_returns_the_kept_group(self, monkeypatch):
+        runs = []
+        run = groups._run_search
+        monkeypatch.setattr(groups, "_run_search", lambda *a: runs.append(a[0]) or run(*a))
+        first = stabilizer(gen_delta(5), 4)
+        assert stabilizer(gen_delta(5), 4) is first
+        assert len(runs) == 1
+        # another base or budget is another search
+        stabilizer(gen_delta(5), 3)
+        stabilizer(gen_delta(5), 4, node_budget=10**6)
+        assert len(runs) == 3
 
 
 class TestOrbits:

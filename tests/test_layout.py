@@ -1,6 +1,7 @@
 """Package layout: no import cycle or unused import inside terw, test
 oracles stay out of it, every certificate of the chain has a test, the
-clock is read in one place, and checks are typed exceptions, not assert."""
+clock is read in one place, two functions keep a one-entry memo, and checks
+are typed exceptions, not assert."""
 
 import ast
 import pathlib
@@ -187,6 +188,53 @@ def test_clock_read_only_where_the_deadline_is_set_and_checked():
     # search compares the clock with it; everything between passes the deadline on
     reads = [f"{path.stem}.{where}" for path in PACKAGE.glob("*.py") for where in clock_reads(path)]
     assert sorted(reads) == ["groups._SearchState.tick", "pipeline.classify_graph"]
+
+
+MEMOS = ("lru_cache", "cache", "cached_property")
+
+
+def memo_uses(path: pathlib.Path) -> list[str]:
+    """'function: maxsize=N' for every ``@functools.lru_cache(...)`` on a
+    function of a module, and 'line N: name' for any other use of a
+    functools memo, an import of one included."""
+    tree = ast.parse(path.read_text())
+    decorates = {
+        id(dec): node.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for dec in node.decorator_list
+    }
+    out, seen = [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and id(node) in decorates and getattr(node.func, "attr", None) == "lru_cache":
+            # lru_cache() keeps 128 entries by default
+            size = next((kw.value for kw in node.keywords if kw.arg == "maxsize"), node.args[0] if node.args else None)
+            out.append((node.lineno, f"{decorates[id(node)]}: maxsize={128 if size is None else ast.unparse(size)}"))
+            seen.add(id(node.func))
+        elif isinstance(node, ast.ImportFrom) and node.module == "functools":
+            out += [(node.lineno, f"line {node.lineno}: {a.name}") for a in node.names if a.name in MEMOS]
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in MEMOS and id(node) not in seen:
+            if getattr(node.value, "id", None) == "functools":
+                out.append((node.lineno, f"line {node.lineno}: {node.attr}"))
+    return [use for _, use in sorted(out)]
+
+
+def test_memo_finder(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text(
+        "import functools\nfrom functools import cache\n\n@functools.lru_cache(maxsize=1)\ndef f(x):\n    return x\n\n"
+        "@functools.lru_cache(None)\ndef g(x):\n    return x\n\n@functools.lru_cache()\ndef k(x):\n    return x\n\n"
+        "h = functools.lru_cache(maxsize=1)(len)\n"
+    )
+    assert memo_uses(mod) == ["line 2: cache", "f: maxsize=1", "g: maxsize=None", "k: maxsize=128", "line 16: lru_cache"]
+
+
+def test_memos_hold_one_entry_on_two_pure_functions():
+    # a scan visits one graph's bases in a row: one kept T0 per graph and one
+    # kept stabilizer per base suffice, and nothing else is memoized
+    uses = [f"{path.stem}.{use}" for path in sorted(PACKAGE.glob("*.py")) for use in memo_uses(path)]
+    assert uses == ["algebras._adjacency_algebra: maxsize=1", "groups.stabilizer: maxsize=1"]
 
 
 def bare_assertions(path: pathlib.Path) -> list[int]:

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corpusgen import connected_graphs, corpus_lines
-from terw import algebras
-from terw.errors import CertificationError
+from terw import algebras, groups, linalg, pipeline
+from terw.errors import CertificationError, DecompositionError
 from terw.graphs import gen_cycle, gen_delta, gen_paley, gen_path, write_graph6
 from terw.groups import Perm, PermGroup
 from terw.pipeline import (
@@ -87,6 +87,51 @@ class TestClassify:
         recs = list(scan_corpus([write_graph6(gen_delta(5)), write_graph6(gen_cycle(6))], jobs=1))
         assert [r.status for r in recs] == ["ok"] * 4
         assert recs[2].eq_flags == (False, True, False, True)
+
+
+class TestOncePerGraph:
+    """T0 and its type once per graph, one stabilizer search per record."""
+
+    LINES = corpus_lines(5, min_n=2)  # a one-vertex graph's stabilizer needs no search
+
+    def _count(self, monkeypatch, module, name):
+        calls = []
+        fn = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, **k: calls.append(a) or fn(*a, **k))
+        return calls
+
+    def test_scan_closes_t0_once_per_graph(self, monkeypatch):
+        closures = self._count(monkeypatch, linalg, "_power_closure")
+        records = list(scan_corpus(self.LINES, jobs=1))
+        assert len(closures) == len(self.LINES) < len(records)
+
+    def test_scan_searches_once_per_graph_and_record(self, monkeypatch):
+        # one automorphism search per graph, one stabilizer search per record
+        searches = self._count(monkeypatch, groups, "_run_search")
+        records = list(scan_corpus(self.LINES, jobs=1))
+        assert len(searches) == len(self.LINES) + len(records)
+
+    def test_t0_decomposed_once_per_graph(self, monkeypatch):
+        decomposed = self._count(monkeypatch, pipeline, "wedderburn_decompose")
+        records = list(scan_corpus(self.LINES, jobs=1, decompose=True))
+        assert sum(alg.level == 0 for (alg,) in decomposed) == len(self.LINES) < len(records)
+        assert {r.status for r in records} == {"ok"}
+
+    def test_t0_failure_fails_every_base(self, monkeypatch):
+        decompose = pipeline.wedderburn_decompose
+        failed = []
+
+        def fail_t0(alg, **kwargs):
+            if alg.level == 0:
+                failed.append(alg.base)
+                raise DecompositionError("no split")
+            return decompose(alg, **kwargs)
+
+        monkeypatch.setattr(pipeline, "wedderburn_decompose", fail_t0)
+        recs = classify_graph(gen_delta(5), decompose=True)
+        assert failed == [0] and len(recs) == 3
+        assert all(r.status == "decompose-failed" and r.types[0] is None for r in recs)
+        assert recs[2].types[3].render() == "M3+M2"
 
 
 @st.composite
