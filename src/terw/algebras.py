@@ -30,9 +30,9 @@ A on T4's orbital cells per base, and otherwise checks on vertex labels:
     orbit is diagonal (so I is a sum of cells), and transposing commutes
     with the diagonal action (so the transpose of a cell is a cell);
   * A lies in T4 once it is constant on every orbital cell, which
-    ``build_T(4)`` checks where it reads the cells.  A stabilizer passed in
-    must consist of automorphisms that fix x0 (else ValueError), so the
-    check certifies the search;
+    ``build_T`` checks wherever it reads the cells (``_orbital_span``).  A
+    stabilizer passed in must consist of automorphisms that fix x0 (else
+    ValueError), so the check certifies the search;
   * level k <= 3 is generated by A and the idempotents of its vertex cells:
     none at level 0, {x0} at level 1, the distance cells at level 2 and the
     stabilizer orbits at level 3.  The idempotent of a union of cells is the
@@ -41,9 +41,16 @@ A on T4's orbital cells per base, and otherwise checks on vertex labels:
     diagonal, so a diagonal matrix is constant on every orbital cell, and
     lies in T4, exactly when it is constant on the diagonal cells, the
     stabilizer orbits: T_k lies in T4 once each of its cells is a union of
-    stabilizer orbits.  Both are checked on length-n vertex labels.
+    stabilizer orbits.  Both are checked on length-n vertex labels, before
+    the closure, which runs inside T4 and needs its generators there.
 
 A failed certificate raises CertificationError.
+
+Levels 1-3 are closed inside T4 whenever T4 is at hand: from the chain
+(``within``), or read off the orbitals of a stabilizer found without an
+extra search (a given ``stab``, or level 3's own search), A certified on
+them as at level 4.  Such a closure runs on T4's d4 cell coordinates
+instead of the n² entries, to the same normal form (``linalg``).
 
 Containment also makes the chain incremental.  ``chain_with_algebras``
 builds T4 first (level 3 then takes the group of its stabilizer search:
@@ -72,7 +79,10 @@ builds T4 first (level 3 then takes the group of its stabilizer search:
     shares its basis object;
   * every closure of levels 1-3 stops once it reaches dim T4 (``within``):
     a subspace of T4 of that dimension is T4, so that level takes T4's
-    basis object, and equal levels share one object all the way up.
+    basis object, and equal levels share one object all the way up;
+  * only the first build, with neither ``below`` nor ``within``, checks
+    that the graph is connected, and A is read once per chain: by T4, by
+    levels 1-3 from the level below, by level 0 from T0's memo.
 
 A level built this way is returned only after the certificates of its
 containment of the level below and in T4 have passed.
@@ -92,8 +102,8 @@ from .graphs import Graph, bfs_distance_partition
 # orbital_matrices is not called here, level 4 is read off its cell labels;
 # the name stays importable because bench/tracing.py wraps
 # terw.algebras.orbital_matrices as a span site
-from .groups import DEFAULT_NODE_BUDGET, PermGroup, is_automorphism, orbital_matrices, orbitals, stabilizer, vertex_orbits  # noqa: F401
-from .linalg import RowSpace, SpanBasis, algebra_closure, cell_span, outer_square
+from .groups import DEFAULT_NODE_BUDGET, PermGroup, orbital_matrices, orbitals, stabilizer, vertex_orbits  # noqa: F401
+from .linalg import CellSpan, RowSpace, SpanBasis, algebra_closure, cell_span, outer_square
 
 LEVELS = (0, 1, 2, 3, 4)
 
@@ -138,19 +148,38 @@ class AlgebraBasis:
 
 
 @functools.lru_cache(maxsize=1)
-def _adjacency_algebra(graph: Graph) -> SpanBasis:
-    """Basis of T0 = <A> whose rows and pivot columns are read-only.
+def _adjacency_algebra(graph: Graph) -> tuple[np.ndarray, SpanBasis]:
+    """A and the basis of T0 = <A>, with read-only arrays.
 
     T0 does not depend on the base vertex, and a scan builds the chains of
-    one graph's bases in a row, so the last graph's T0 is kept and every
-    later base wraps the same arrays in its own (shallow) copy of the
+    one graph's bases in a row, so the last graph's A and T0 are kept and
+    every later base wraps the same arrays in its own (shallow) copy of the
     ``SpanBasis``.  Nothing writes them: a basis that grows replaces its
     rows array.
     """
-    basis = algebra_closure([graph.adjacency_matrix()], side=graph.n)
-    for arr in (basis.rows, basis._piv):
+    a = graph.adjacency_matrix()
+    basis = algebra_closure([a], side=graph.n)
+    for arr in (a, basis.rows, basis._piv):
         arr.setflags(write=False)
-    return basis
+    return a, basis
+
+
+def _orbital_span(a: np.ndarray, group: PermGroup, given: bool) -> CellSpan:
+    """T4 of a stabilizer, read off its orbital labels once A is certified on them.
+
+    The cells need no check: the orbits of a group of bijections partition
+    the pairs, every generator preserves them, a diagonal pair's orbit is
+    diagonal, and transposing commutes with the diagonal action.  A is
+    constant on the orbitals of <gens> exactly when every generator is an
+    automorphism: a ValueError for a given group, a CertificationError for
+    a searched one.
+    """
+    labels = orbitals(group).labels
+    if not _constant_on_cells(a, labels):
+        if given:
+            raise ValueError("a stabilizer generator is not an automorphism of the graph")
+        raise CertificationError("A is not constant on an orbital cell; a stabilizer generator is not an automorphism")
+    return cell_span(group.n, labels)
 
 
 def _constant_on_cells(mats: np.ndarray, labels: np.ndarray) -> bool:
@@ -187,12 +216,18 @@ def build_T(
     Levels 3 and 4 need the base-vertex stabilizer: pass one in (e.g. an
     analytic Paley group) or it is found by search, which keeps its last
     group, so level 3 after level 4 with the same arguments searches no
-    more; a given one with a generator that moves the base vertex or is no
-    automorphism is a ValueError, and a search past node_budget nodes or
-    the deadline (a ``time.monotonic()`` instant) a BudgetExceededError.
-    Level 4 is read off its orbital labels, whose cells already are the
-    normal form, once A is certified constant on them.  Levels 0-3 are generated by A and the idempotents of their
-    vertex cells (``AlgebraBasis.cells``).
+    more; a search past node_budget nodes or the deadline (a
+    ``time.monotonic()`` instant) is a BudgetExceededError.  Level 4 is
+    read off its orbital labels, whose cells already are the normal form,
+    once A is certified constant on them.  Levels 0-3 are generated by A
+    and the idempotents of their vertex cells (``AlgebraBasis.cells``).
+
+    A given stabilizer is used at levels 3 and 4, and at levels 1 and 2
+    built without ``within`` (level 1 also without ``below``), which close
+    inside the T4 it gives, as level 3 does with a searched one.  A given
+    generator that moves the base vertex or is no automorphism is a
+    ValueError (a searched group that fails the check of A on its orbitals
+    is a CertificationError).
 
     ``below`` is the level-(level-1) algebra of the same (graph, base),
     given to levels 1-3.  Level 1 is then T0 + U⊗U with U the cyclic module T0 e_x0, built
@@ -202,11 +237,13 @@ def build_T(
     is certified: each of below's cells is a union of this level's cells.
 
     ``within`` is the level-4 algebra of the same (graph, base), given to
-    levels 0-3.  The closure of levels 1-3 stops once it reaches dim T4, a
-    level equal to T4 returns T4's basis object, and the level is certified
-    inside T4: each of its cells is a union of stabilizer orbits, T4's
-    diagonal cells (A was certified when T4 was built).  Without ``below`` and ``within``
-    every level is built from scratch.
+    levels 0-3.  The closure of levels 1-3 runs inside it, on its cell
+    coordinates, and stops once it reaches dim T4; a level equal to T4
+    returns T4's basis object, and the level is certified inside T4: each
+    of its cells is a union of stabilizer orbits, T4's diagonal cells (A
+    was certified when T4 was built).  Without ``below`` and ``within``
+    every level is built from scratch, to the same basis; then the graph
+    is checked to be connected.
     """
     if level not in LEVELS:
         raise ValueError(f"level must be one of {LEVELS}")
@@ -216,51 +253,59 @@ def build_T(
         raise ValueError("below must be the algebra one level down of the same graph and base, given to levels 1-3")
     if within is not None and (level == 4 or (within.level, within.base, within.n) != (4, base, graph.n)):
         raise ValueError("within must be the level-4 algebra of the same graph and base, given to levels 0-3")
-    if not graph.is_connected():
+    # a chain checks the graph and reads A once: levels 1-3 take A from below, level 0 from T0's memo
+    if below is None and within is None and not graph.is_connected():
         raise ValueError("algebra builders need a connected graph")
     n = graph.n
-    a = graph.adjacency_matrix()
-    cells = ()
-    if level >= 3 and stab is None:
-        group = stabilizer(graph, base, node_budget=node_budget, deadline=deadline)
-    elif level >= 3:
+    if below is not None:
+        a = below.generator_matrices[0]
+    elif level == 0:
+        a = _adjacency_algebra(graph)[0]
+    else:
+        a = graph.adjacency_matrix()
+    # a closure without within runs inside the T4 of a stabilizer at hand without a search
+    closes = level in (2, 3) or (level == 1 and below is None)
+    group = None
+    if stab is not None and (level >= 3 or (closes and within is None)):
         # the search fixes the base by construction; a given group need not
         group = stab
         if group.n != n:
             raise ValueError(f"stabilizer acts on {group.n} points, the graph has {n}")
         if any(g(base) != base for g in group.gens):
             raise ValueError(f"a stabilizer generator moves the base vertex {base}")
-        # level 4 certifies the generators through A on their orbitals
-        if level == 3 and not all(is_automorphism(graph, g) for g in group.gens):
-            raise ValueError("a stabilizer generator is not an automorphism of the graph")
-    if level == 1:
-        cells = ((base,),)
-    elif level == 2:
-        cells = bfs_distance_partition(graph, base).cells
-    elif level == 3:
-        cells = vertex_orbits(group, base=base).cells
-    if level < 4:
+    elif level >= 3:
+        group = stabilizer(graph, base, node_budget=node_budget, deadline=deadline)
+    container = None if within is None else within.basis
+    if group is not None and (level == 4 or container is None):
+        container = _orbital_span(a, group, given=stab is not None)
+    if level == 4:
+        basis, cells, labels = container, None, container.cells
+        # a basis generates its own span
+        gens = basis.rows.reshape(-1, n, n)
+        names = tuple(f"A[orbital {i}]" for i in range(basis.dim))
+    else:
+        cells = ()
+        if level == 1:
+            cells = ((base,),)
+        elif level == 2:
+            cells = bfs_distance_partition(graph, base).cells
+        elif level == 3:
+            cells = vertex_orbits(group, base=base).cells
         gens = [a] + [idempotent_for_set(n, c) for c in cells]
         tags = [f"{{{base}}}"] if level == 1 else [f"{'XY'[level - 2]}{k}" for k in range(len(cells))]
         names = ("A",) + tuple(f"E[{tag}]" for tag in tags)
         labels = _vertex_labels(n, cells) if cells else None
-    else:
-        # the cells need no check: the orbits of a group of bijections partition the pairs, every
-        # generator preserves them, a diagonal pair's orbit is diagonal, and transposing commutes
-        # with the diagonal action; A lies in T4 once it is constant on them
-        cells, labels = None, orbitals(group).labels
-        # A is constant on the orbitals of <gens> exactly when every generator is an automorphism
-        if not _constant_on_cells(a, labels):
-            if stab is not None:
-                raise ValueError("a stabilizer generator is not an automorphism of the graph")
-            raise CertificationError("A is not constant on an orbital cell; a stabilizer generator is not an automorphism")
-        basis = cell_span(n, labels)
-        # a basis generates its own span
-        gens = basis.rows.reshape(-1, n, n)
-        names = tuple(f"A[orbital {i}]" for i in range(basis.dim))
+    # A generates levels 0-3 and lies in T4, so only the cells' idempotents need a certificate:
+    # each cell is a union of finer cells when its labels are constant on every finer cell.
+    # Both run before the closure, which runs inside T4 and needs its generators there.
+    if cells:
+        if below is not None and below.cells and not _constant_on_cells(below.cell_labels, labels):
+            raise CertificationError("a cell of the level below is not a union of this level's cells")
+        if container is not None and not _constant_on_cells(labels, container.cells[:: n + 1]):
+            raise CertificationError("a cell is not a union of stabilizer orbits")
     if level == 0:
         # one T0 per graph (_adjacency_algebra); T0 ⊆ T4, so equal dims make it T4
-        basis = copy.copy(_adjacency_algebra(graph))
+        basis = copy.copy(_adjacency_algebra(graph)[1])
         if within is not None and basis.dim == within.dim:
             basis = within.basis
     elif level == 1 and below is not None:
@@ -276,14 +321,12 @@ def build_T(
         elif within is not None and basis.dim == within.dim:
             basis = within.basis
     elif level < 4:
-        basis = algebra_closure(
-            gens,
-            side=n,
-            below=None if below is None else below.basis,
-            within=None if within is None else within.basis,
-        )
+        basis = algebra_closure(gens, side=n, below=None if below is None else below.basis, within=container)
+        # a T4 built here is no object to share: a level equal to below shares below's
+        if below is not None and basis.dim == below.dim:
+            basis = below.basis
     # levels 0-3 are unital and transpose-closed by construction (see the module docstring)
-    alg = AlgebraBasis(
+    return AlgebraBasis(
         level=level,
         base=base,
         n=n,
@@ -293,14 +336,6 @@ def build_T(
         cells=cells,
         cell_labels=labels,
     )
-    # A generates levels 0-3 and lies in T4, so only the cells' idempotents need a certificate:
-    # each cell is a union of finer cells when its labels are constant on every finer cell
-    if cells:
-        if below is not None and below.cells and not _constant_on_cells(below.cell_labels, labels):
-            raise CertificationError("a cell of the level below is not a union of this level's cells")
-        if within is not None and not _constant_on_cells(labels, within.cell_labels[:: n + 1]):
-            raise CertificationError("a cell is not a union of stabilizer orbits")
-    return alg
 
 
 def equal_flags(dims: Sequence[Optional[int]]) -> tuple[Optional[bool], ...]:

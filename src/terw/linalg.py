@@ -38,10 +38,29 @@ the normal form: ``cell_span``, the indicators of a partition of the
 entries (an orbital algebra), and ``outer_square``, every u v^T with u and
 v in one row space.
 
+A closure inside a ``cell_span`` (a ``CellSpan``, which carries its
+partition) runs on the span's cell coordinates, d = dim ``within`` of
+them instead of n² entries.  Every element of the span is x[cells] for
+the vector x of its entries at the pivots, and the cells are numbered by
+their first entry, so the first nonzero entry of x[cells] is at the
+pivot of the first k with x_k != 0, and x[cells] holds the same values
+as x (the same content, the same sign at the leading entry).  So the
+reduced echelon form in coordinates, spread over the cells
+(``rows[:, cells]`` with pivots ``within._piv[piv]``), is the n² normal
+form byte for byte.  A generator acts on the coordinates by one d-by-d
+integer map, and the idempotent generators cut each product into its
+pieces E_a X E_b, which keeps the elimination inside blocks of
+coordinates (``_cell_product``).  Any closure inside a ``CellSpan`` takes
+this route: on a sample of 7-vertex graphs, where d is close to n², it
+costs the same as the n² route, and at Paley(61)'s T2 (d = 125 against
+n² = 3,721) it is about fifty times faster.
+
 ``center_basis`` imposes commutation with a generating set of the algebra
 only, and reads each commutator at the d pivot entries of the basis: a
 commutator of two elements of a closed span lies in the span, and an
-element of the span is zero iff its pivot entries are.
+element of the span is zero iff its pivot entries are.  A generator with
+at most n nonzero entries (an orbital cell) is read from those entries
+alone once d*n reaches ``_SPARSE_READ_MIN``.
 """
 
 from __future__ import annotations
@@ -57,6 +76,9 @@ _INT64_MIN = np.iinfo(np.int64).min
 _BOUND_LIMIT = 2**61
 # largest entry of a power that joins a closure's power block
 _POWER_LIMIT = 2**20
+# center_basis reads the commutators with a generator of at most n nonzero entries from those
+# entries alone once d*n reaches this; below it, reading every product is faster
+_SPARSE_READ_MIN = 2**10
 
 
 def _maxabs(a: np.ndarray) -> int:
@@ -339,7 +361,18 @@ class SpanBasis(RowSpace):
         return f"SpanBasis(side={self.side}, dim={self.dim})"
 
 
-def cell_span(side: int, labels: np.ndarray) -> SpanBasis:
+class CellSpan(SpanBasis):
+    """A ``cell_span``: a SpanBasis that also carries its partition.
+
+    ``cells[i]`` is the index of the cell (the basis row) that holds entry
+    i, so an element of the span with coordinates x (its entries at the
+    pivots, one per cell) is the vector x[cells].
+    """
+
+    __slots__ = ("cells",)
+
+
+def cell_span(side: int, labels: np.ndarray) -> CellSpan:
     """Span of the 0/1 indicators of the cells of a partition of the entries.
 
     ``labels[i]`` is the cell index (0, 1, ...) of entry i of a vectorized
@@ -349,8 +382,11 @@ def cell_span(side: int, labels: np.ndarray) -> SpanBasis:
     """
     first = np.unique(labels, return_index=True)[1]
     order = np.argsort(first)
-    basis = SpanBasis(side)
-    basis.rows = (labels[None, :] == order[:, None]).astype(np.int64)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    basis = CellSpan(side)
+    basis.cells = rank[labels]
+    basis.rows = (basis.cells[None, :] == np.arange(len(order))[:, None]).astype(np.int64)
     basis._piv = first[order].astype(np.intp)
     return basis
 
@@ -371,16 +407,76 @@ def outer_square(space: RowSpace) -> SpanBasis:
     return basis
 
 
-def _close_layers(basis: SpanBasis, g_stack: np.ndarray, layer: np.ndarray, within: SpanBasis | None) -> SpanBasis:
-    """Every generator of the (k, 1, n, n) stack left-multiplies the newest
-    layer of rows at once, the products added as one block, until a layer
-    adds nothing or the span reaches within's dimension."""
-    side = basis.side
-    cap = None if within is None else within.dim
+def _matrix_product(g_stack: np.ndarray, side: int):
+    """Left multiplication by each generator of a (k, n, n) stack, on a block
+    of vectorized rows: the (k * rows)-row block of products, generator by
+    generator; ``use``, a boolean mask, picks a subset of the generators."""
+
+    def times(layer: np.ndarray, use: np.ndarray | None = None) -> np.ndarray:
+        g = g_stack if use is None else g_stack[use]
+        prods = exact_matmul(g[:, None], layer.reshape(1, -1, side, side))
+        return prods.reshape(-1, side * side)
+
+    return times
+
+
+def _cell_product(g_stack: np.ndarray, within: CellSpan):
+    """``times`` and ``split`` for a closure on the cell coordinates of
+    ``within``, of generators that lie in it.
+
+    Coordinate k of an element X of the span is its entry at the pivot
+    (r_k, c_k) of cell k.  G X lies in the span too, so G acts by the
+    integer matrix M[k, j] = (G 1_j)[r_k, c_k], the sum of the n entries
+    G[r_k, m] with (m, c_k) in cell j.
+
+    The atoms of the 0/1 diagonal generators' vertex sets (the classes of
+    vertices that lie in the same sets) give idempotents E_a of the algebra
+    that sum to I.  ``split`` cuts each row X of a block into its nonzero
+    pieces E_a X E_b, the coordinates k with r_k in a and c_k in b.  A span
+    that holds the pieces of its rows is closed under left multiplication
+    by every idempotent generator, a sum of E_a's, so ``times`` returns
+    the pieces of the products with the other generators only.  Pieces
+    keep the elimination inside blocks of coordinates, where entries stay
+    smaller.
+    """
+    n, d = within.side, within.dim
+    r, c = np.divmod(within._piv, n)
+    flat = g_stack.reshape(len(g_stack), n * n)
+    diag = flat[:, :: n + 1]
+    # a 0/1 diagonal matrix, and only such a matrix, has as many nonzero entries as diagonal ones
+    idem = np.count_nonzero(flat, axis=1) == np.count_nonzero(diag == 1, axis=1)
+    first: dict[bytes, int] = {}
+    atom = np.array([first.setdefault(v.tobytes(), len(first)) for v in (diag[idem] != 0).T])
+    atoms = len(first)
+    block = atom[r] * atoms + atom[c]
+    g_rows = g_stack[~idem][:, r, :]
+    if g_rows.dtype != object and n * _maxabs(g_rows) >= _INT64_LIMIT:
+        g_rows = g_rows.astype(object)
+    # maps[g, j, k] = M[k, j] of generator g, so that a block of coordinate rows times it is G X
+    maps = np.zeros((len(g_rows), d, d), dtype=g_rows.dtype)
+    col_cells = within.cells.reshape(n, n)[:, c].T  # the cell of (m, c_k) at [k, m]
+    np.add.at(maps, (np.arange(len(g_rows))[:, None, None], col_cells, np.arange(d)[:, None]), g_rows)
+
+    def split(rows: np.ndarray) -> np.ndarray:
+        at, k = np.nonzero(rows)
+        at, b = np.divmod(np.unique(at * atoms**2 + block[k]), atoms**2)
+        return rows[at] * (block == b[:, None])
+
+    def times(layer: np.ndarray, use: np.ndarray | None = None) -> np.ndarray:
+        m = maps if use is None else maps[use[~idem]]
+        return split(exact_matmul(layer, m).reshape(-1, d))
+
+    return times, split
+
+
+def _close_layers(basis: RowSpace, times, layer: np.ndarray, cap: int | None) -> RowSpace:
+    """Every generator left-multiplies the newest layer of rows at once
+    (``times``), the products added as one block, until a layer adds
+    nothing or the span reaches dimension cap."""
     while len(layer) and basis.dim != cap:
-        prods = exact_matmul(g_stack, layer.reshape(1, -1, side, side))
-        layer = basis.insert_block(prods.reshape(-1, side * side))
-    return within if basis.dim == cap else basis
+        prods = times(layer)
+        layer = basis.insert_block(prods[prods.any(axis=1)])
+    return basis
 
 
 def _power_closure(a: np.ndarray, basis: SpanBasis, within: SpanBasis | None) -> SpanBasis:
@@ -396,7 +492,9 @@ def _power_closure(a: np.ndarray, basis: SpanBasis, within: SpanBasis | None) ->
     # a dependent power makes every higher one dependent; dim <a> <= side
     if len(layer) < len(powers) or basis.dim == side:
         layer = layer[:0]
-    return _close_layers(basis, a[None, None], layer, within)
+    cap = None if within is None else within.dim
+    basis = _close_layers(basis, _matrix_product(a[None], side), layer, cap)
+    return within if basis.dim == cap else basis
 
 
 def algebra_closure(
@@ -429,7 +527,11 @@ def algebra_closure(
     ``within`` is the basis of a span that the caller knows (or certifies
     afterwards) to contain the result.  The closure then stops as soon as
     its span has within's dimension, and returns ``within`` itself: a
-    subspace of equal dimension is the whole span.
+    subspace of equal dimension is the whole span.  When ``within`` is a
+    ``CellSpan`` the caller must know it before: the closure then runs on
+    within's cell coordinates (see the module docstring), which need the
+    generators, and ``below``, to lie in it, and the 0/1 diagonal
+    generators act through the pieces of each product (``_cell_product``).
     """
     gens = [as_int_matrix(g, side) for g in generators]
     if side is None:
@@ -439,24 +541,44 @@ def algebra_closure(
     if any(g.shape[0] != side for g in gens):
         raise ValueError("generators must share one matrix size")
     cap = None if within is None else within.dim
+    cellwise = isinstance(within, CellSpan)
     if below is None:
         below = SpanBasis(side)
         below.insert(np.eye(side, dtype=np.int64))
-        if len(gens) == 1 and below.dim != cap:
+        if len(gens) == 1 and below.dim != cap and not cellwise:
             return _power_closure(gens[0], below, within)
     if below.dim == cap:
         return within
     if not gens:
         return below
     g_stack = np.stack(gens)
-    new = np.any(below.reduce_block(g_stack.reshape(len(gens), side * side)), axis=1)
+    if cellwise:
+        coords = within._piv
+        basis = RowSpace(cap)
+        basis.rows, basis._piv = np.ascontiguousarray(below.rows[:, coords]), coords.searchsorted(below._piv)
+        times, split = _cell_product(g_stack, within)
+    else:
+        coords = slice(None)
+        basis = SpanBasis(side)
+        basis.rows, basis._piv = below.rows, below._piv
+        times = _matrix_product(g_stack, side)
+    new = np.any(basis.reduce_block(g_stack.reshape(len(gens), side * side)[:, coords]), axis=1)
     if not np.any(new):
         return below
-    basis = SpanBasis(side)
-    basis.rows, basis._piv = below.rows, below._piv
-    prods = exact_matmul(g_stack[new][:, None], below.rows.reshape(1, -1, side, side))
-    layer = basis.insert_block(prods.reshape(-1, side * side))
-    return _close_layers(basis, g_stack[:, None], layer, within)
+    prods = times(basis.rows, new)
+    if cellwise:
+        # the idempotent generators act on below through the pieces of its rows
+        prods = np.concatenate([split(basis.rows), prods])
+    layer = basis.insert_block(prods[prods.any(axis=1)])
+    basis = _close_layers(basis, times, layer, cap)
+    if basis.dim == cap:
+        return within
+    if cellwise:
+        # the echelon form in cell coordinates, spread over the cells, is the normal form
+        span = SpanBasis(side)
+        span.rows, span._piv = np.ascontiguousarray(basis.rows[:, within.cells]), within._piv[basis._piv]
+        return span
+    return basis
 
 
 def _left_nullspace_combos(rows: np.ndarray) -> np.ndarray:
@@ -471,13 +593,37 @@ def _left_nullspace_combos(rows: np.ndarray) -> np.ndarray:
     return aug.rows[aug._piv >= width, width:]
 
 
-def _pivot_commutators(cands: np.ndarray, g: np.ndarray, r: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Exact entries of z g - g z at the pivot pairs (r[p], c[p]), one row per z."""
+def _sum_by_pivot(vals: np.ndarray, p: np.ndarray, width: int) -> np.ndarray:
+    """Columns of vals summed by their pivot index p (ascending), as (rows, width)."""
+    out = np.zeros((len(vals), width), dtype=vals.dtype)
+    if len(p):
+        starts = np.flatnonzero(np.diff(p, prepend=-1))
+        out[:, p[starts]] = np.add.reduceat(vals, starts, axis=1)
+    return out
+
+
+def _pivot_commutators(cands: np.ndarray, bound: int, g: np.ndarray, r: np.ndarray, c: np.ndarray, dense=None) -> np.ndarray:
+    """Exact entries of z g - g z at the pivot pairs (r[p], c[p]), one row per z.
+
+    ``bound`` is the largest |entry| of the candidates.  With ``dense``, the
+    candidates' rows r and columns c as (m, d, n) and (m, n, d) stacks,
+    every product is read.  Without, only nonzero entries of g are:
+    (z g)[r_p, c_p] sums z[r_p, k] g[k, c_p] over the k with g[k, c_p] != 0,
+    and (g z)[r_p, c_p] sums g[r_p, k] z[k, c_p] over the k with
+    g[r_p, k] != 0.
+    """
     n = g.shape[0]
-    if cands.dtype == object or g.dtype == object or n * _maxabs(cands) * _maxabs(g) >= _INT64_LIMIT:
+    if cands.dtype == object or g.dtype == object or n * bound * _maxabs(g) >= _INT64_LIMIT:
         cands, g = _as_object(cands), _as_object(g)
-    zg = np.einsum("mpk,kp->mp", cands[:, r, :], g[:, c])
-    gz = np.einsum("pk,mkp->mp", g[r, :], cands[:, :, c])
+        dense = None if dense is None else tuple(_as_object(x) for x in dense)
+    if dense is not None:
+        zg = np.einsum("mpk,kp->mp", dense[0], g[:, c])
+        gz = np.einsum("pk,mkp->mp", g[r, :], dense[1])
+    else:
+        p, k = np.nonzero(g[:, c].T)
+        zg = _sum_by_pivot(cands[:, r[p], k] * g[k, c[p]], p, len(r))
+        p, k = np.nonzero(g[r, :])
+        gz = _sum_by_pivot(cands[:, k, c[p]] * g[r[p], k], p, len(r))
     return _fit(zg - gz)
 
 
@@ -492,7 +638,11 @@ def center_basis(basis: SpanBasis, gens: Sequence | None = None) -> SpanBasis:
     generates.
 
     Each [z, g] lies in the closed span, so it is read at the d pivot
-    entries only.  A diagonal generator D gives [b, D] = (D_cc - D_rr) b for
+    entries only: from every product, with the candidates' rows and
+    columns at the pivots taken once per candidate set, or, for a
+    generator of at most n nonzero entries once d*n reaches
+    _SPARSE_READ_MIN, from its nonzero entries alone.  A diagonal
+    generator D gives [b, D] = (D_cc - D_rr) b for
     the basis row b with pivot (r, c), so diagonal generators only select
     basis rows; each other generator costs one elimination of the
     candidates' nonzero readouts.  When no generator moves a candidate (at
@@ -511,25 +661,34 @@ def center_basis(basis: SpanBasis, gens: Sequence | None = None) -> SpanBasis:
         gens = mats
     gens = [as_int_matrix(g, n) for g in gens]
     r, c = np.divmod(basis._piv, n)
-    diagonal = [np.count_nonzero(g) == np.count_nonzero(np.diagonal(g)) for g in gens]
+    nonzero = [np.count_nonzero(g) for g in gens]
+    diagonal = [k == np.count_nonzero(np.diagonal(g)) for g, k in zip(gens, nonzero)]
     keep = np.ones(d, dtype=bool)
     for g, diag in zip(gens, diagonal):
         if diag:
             keep &= np.diagonal(g)[r] == np.diagonal(g)[c]
     cands = mats[keep]
     moved_any = False
-    for g, diag in zip(gens, diagonal):
+    bound, dense = _maxabs(cands), None
+    for g, diag, k in zip(gens, diagonal, nonzero):
         if diag or not len(cands):
             continue
-        read = _pivot_commutators(cands, g, r, c)
+        if d * n < _SPARSE_READ_MIN or k > n:
+            if dense is None:
+                # most generators move no candidate: the entries they read are taken once per candidate set
+                dense = (cands[:, r, :], cands[:, :, c])
+            read = _pivot_commutators(cands, bound, g, r, c, dense)
+        else:
+            read = _pivot_commutators(cands, bound, g, r, c)
         hit = np.any(read != 0, axis=1)
         if not np.any(hit):
             continue
-        moved_any = True
+        moved_any, dense = True, None
         read = read[hit]
         combos = _left_nullspace_combos(read[:, np.any(read != 0, axis=0)])
         moved = _primitive_rows(exact_matmul(combos, cands[hit].reshape(-1, n * n)))
         cands = _fit(np.concatenate([cands[~hit], moved.reshape(-1, n, n)]))
+        bound = _maxabs(cands)
     center = SpanBasis(n)
     if moved_any:
         center.insert_block(cands.reshape(len(cands), n * n))

@@ -27,7 +27,7 @@ import numpy as np
 
 from .algebras import AlgebraBasis
 from .errors import DecompositionError
-from .linalg import SpanBasis, center_basis
+from .linalg import CellSpan, SpanBasis, center_basis
 
 # relative gap for clustering eigenvalues of the Hermitian central element
 _CLUSTER_REL_TOL = 1e-6
@@ -145,9 +145,13 @@ def wedderburn_decompose(
     if s == 0:
         raise DecompositionError("center has dimension zero; input is not a unital algebra")
     center_mats = _float_stack(center)
-    # M = sum_j Q_j Q_j^T over any orthonormal basis Q_j of the algebra (one QR) is
-    # sum_i (s_i / m_i) P_i for blocks M_{s_i} (x) I_{m_i}, so tr(P_i M) = s_i^2
-    q = np.linalg.qr(_float_stack(basis).reshape(d, n * n).T)[0]
+    # M = sum_j Q_j Q_j^T over any orthonormal basis Q_j of the algebra is
+    # sum_i (s_i / m_i) P_i for blocks M_{s_i} (x) I_{m_i}, so tr(P_i M) = s_i^2;
+    # disjoint cells are orthogonal, so scaled to unit length they are one, else one QR
+    if isinstance(basis, CellSpan):
+        q = basis.rows.T / np.sqrt(basis.rows.sum(axis=1))
+    else:
+        q = np.linalg.qr(_float_stack(basis).reshape(d, n * n).T)[0]
     frame = q.reshape(n, n * d) @ q.reshape(n, n * d).T  # row a holds Q_j[a, b] at b*d + j
 
     last_error = "no attempt"

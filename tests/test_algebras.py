@@ -365,6 +365,46 @@ class TestClosureAgainstRowwiseOracle:
         _assert_same_basis(basis, rowwise_closure(gens), "object batch")
 
 
+def _assert_cell_route_matches(gens, below, t4, label):
+    """The closure inside T4 (a CellSpan, so on its cell coordinates) equals
+    the closure inside the same span without cells (on n² entries)."""
+    n = t4.side
+    plain = SpanBasis(n)
+    plain.rows, plain._piv = t4.rows, t4._piv
+    cell = algebra_closure(gens, side=n, below=below, within=t4)
+    wide = algebra_closure(gens, side=n, below=below, within=plain)
+    assert (cell is t4) == (wide is plain), label
+    assert cell.pivots == wide.pivots, label
+    assert cell.rows.dtype == wide.rows.dtype, label
+    assert cell.rows.tolist() == wide.rows.tolist(), label
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 8), st.randoms(use_true_random=False))
+def test_cell_route_matches_the_n2_closure(n, rnd):
+    """Levels 1-3 closed from I and from the level below, and A with a random
+    element of T4 (entries up to 2**40 when n <= 5, so rows go to object dtype)."""
+    graph, base = _random_connected_graph(n, rnd), rnd.randrange(n)
+    _, algs = chain_with_algebras(graph, base)
+    t4 = algs[4].basis
+    for level in (1, 2, 3):
+        gens = list(algs[level].generator_matrices)
+        _assert_cell_route_matches(gens, None, t4, (n, base, level, "from I"))
+        _assert_cell_route_matches(gens, algs[level - 1].basis, t4, (n, base, level, "seeded"))
+    top = 2**40 if n <= 5 else 3
+    x = sum(rnd.randint(-top, top) * m for m in t4.matrices())
+    _assert_cell_route_matches([graph.adjacency_matrix(), x], None, t4, (n, base, "random element"))
+
+
+def test_cell_route_matches_the_n2_closure_on_paley13():
+    g, pc = gen_paley(13)
+    _, algs = chain_with_algebras(g, 0, stab=paley_stabilizer_generators(pc))
+    for level in (1, 2, 3):
+        gens = list(algs[level].generator_matrices)
+        _assert_cell_route_matches(gens, None, algs[4].basis, (13, level, "from I"))
+        _assert_cell_route_matches(gens, algs[level - 1].basis, algs[4].basis, (13, level, "seeded"))
+
+
 class TestAdjacencyAlgebraMemo:
     """T0 is closed once per graph and shared, read-only, by every base."""
 
@@ -518,7 +558,8 @@ class TestSeededChain:
         # automorphism; its orbits would give T3 and T4 dims 25 and 17,
         # where the true stabilizer gives 13 and 13
         swap = PermGroup(5, (Perm((1, 0, 2, 3, 4)),))
-        for level in (3, 4):
+        # levels 1 and 2 close inside the T4 of a given group, so they check it too
+        for level in (1, 2, 3, 4):
             with pytest.raises(ValueError, match="a stabilizer generator is not an automorphism of the graph"):
                 build_T(level, gen_delta(5), 4, stab=swap)
         with pytest.raises(ValueError, match="not an automorphism of the graph"):
@@ -529,7 +570,7 @@ class TestSeededChain:
         # a rotation of C5 moves the base 0; its orbitals would give T3 and
         # T4 dims 3 and 5, where the stabilizer {1, reflection} gives 13, 13
         rotation = PermGroup(5, (Perm((1, 2, 3, 4, 0)),))
-        for level in (3, 4):
+        for level in (1, 2, 3, 4):
             with pytest.raises(ValueError, match="moves the base vertex 0"):
                 build_T(level, gen_cycle(5), 0, stab=rotation)
         with pytest.raises(ValueError, match="moves the base vertex 0"):
@@ -537,6 +578,18 @@ class TestSeededChain:
         reflection = PermGroup(5, (Perm((0, 4, 3, 2, 1)),))
         report, _ = chain_with_algebras(gen_cycle(5), 0, levels=(3, 4), stab=reflection)
         assert report.dims[3:] == (13, 13)
+
+    def test_chain_reads_the_graph_once(self, monkeypatch):
+        # one connectivity check and one read of A per chain (level 4, the first build), and one
+        # read of A per graph for the kept T0; levels 1-3 take A from the level below
+        calls = {"adjacency_matrix": 0, "is_connected": 0}
+        for name in calls:
+            read = getattr(Graph, name)
+            monkeypatch.setattr(Graph, name, lambda g, _r=read, _n=name: calls.update({_n: calls[_n] + 1}) or _r(g))
+        g = gen_delta(6)
+        for base in range(g.n):
+            chain_with_algebras(g, base)
+        assert calls == {"adjacency_matrix": g.n + 1, "is_connected": g.n}
 
     def test_within_must_be_T4(self):
         g = gen_delta(5)

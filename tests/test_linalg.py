@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from terw import linalg
 from terw.graphs import Graph, gen_cycle, gen_delta, gen_path, write_graph6
 from terw.linalg import (
     RowSpace,
@@ -482,6 +484,46 @@ def test_center_from_generators_matches_oracle(gens):
     want = commutator_center(basis)
     _assert_same_center(center_basis(basis, gens), want)
     _assert_same_center(center_basis(basis), want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_symmetric_generators())
+def test_sparse_commutator_readout_matches_dense(gens):
+    # with the size guard at 0 every generator of at most n nonzero entries,
+    # as the matrix units of a full matrix algebra's basis, is read sparsely
+    basis = algebra_closure(gens)
+    dense = center_basis(basis)
+    with mock.patch.object(linalg, "_SPARSE_READ_MIN", 0):
+        _assert_same_center(center_basis(basis), dense)
+        _assert_same_center(center_basis(basis, gens), dense)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.lists(st.one_of(st.integers(-3, 3), st.integers(-(2**61), 2**61)), min_size=n * n, max_size=n * n), max_size=4),
+    st.lists(st.tuples(st.integers(0, n * n - 1), st.one_of(st.integers(-3, 3), st.integers(-(2**40), 2**40))), max_size=n),
+    st.lists(st.integers(0, n * n - 1), min_size=1, max_size=n * n),
+)))
+def test_pivot_commutators_read_sparse_and_dense_alike(case):
+    # the readout of [z, g] at chosen pairs, from g's nonzero entries or from
+    # every product, against the full commutator in Python integers
+    n, cands, entries, pairs = case
+    cands = np.array(cands, dtype=object).reshape(-1, n, n)
+    if all(abs(x) < 2**62 for x in cands.reshape(-1)):
+        cands = cands.astype(np.int64)
+    g = np.zeros(n * n, dtype=np.int64)
+    for at, x in entries:
+        g[at] = x
+    g = g.reshape(n, n)
+    r, c = np.divmod(np.array(pairs), n)
+    full = np.array([z @ g.astype(object) - g.astype(object) @ z for z in cands.astype(object)]).reshape(-1, n, n)
+    want = full[:, r, c].tolist() if len(cands) else []
+    bound = linalg._maxabs(cands)
+    dense = linalg._pivot_commutators(cands, bound, g, r, c, (cands[:, r, :], cands[:, :, c]))
+    sparse = linalg._pivot_commutators(cands, bound, g, r, c)
+    assert dense.tolist() == sparse.tolist() == want
+    assert dense.dtype == sparse.dtype
 
 
 def test_row_space_rank():

@@ -16,7 +16,7 @@ from oracles import (
 from terw.errors import DecompositionError
 from terw.graphs import gen_cycle, gen_delta, gen_paley, gen_path, gen_star
 from terw.groups import paley_stabilizer_generators
-from terw.algebras import build_T, idempotent_for_set
+from terw.algebras import build_T, chain_with_algebras, idempotent_for_set
 from terw.linalg import RowSpace, SpanBasis, algebra_closure, center_basis
 from terw.structure import WedderburnType, wedderburn_decompose
 
@@ -326,16 +326,33 @@ def test_invariants_enforced_on_failure():
         wedderburn_decompose(b)
 
 
-@pytest.mark.parametrize("q", [13, 29])
+@pytest.mark.parametrize("q", [13, 29, 61, 81])
 def test_paley_table_matches_bench_reference(q):
     """Levels 0-4 of Paley(q) at base 0, built and split as the benchmark's
-    paley-ladder does, against its reference table (read only)."""
+    paley-ladder does, against its reference table (read only); levels 0-3
+    built from scratch with the analytic group equal the chain's."""
     table = pathlib.Path(__file__).resolve().parent.parent / "bench" / "reference" / "paley.json"
     want = json.loads(table.read_text())[str(q)]
-    graph, pc = gen_paley(q)
+    graph, pc = gen_paley(*{81: (3, 4)}.get(q, (q,)))
     stab = paley_stabilizer_generators(pc)
     algs = [build_T(level, graph, 0, stab=stab) for level in range(5)]
     assert [alg.dim for alg in algs] == [row["dim"] for row in want]
+    _, chain = chain_with_algebras(graph, 0, stab=stab)
+    for alg, link in zip(algs[:4], chain):
+        assert alg.basis.pivots == link.basis.pivots, alg.level
+        assert alg.basis.rows.dtype == link.basis.rows.dtype, alg.level
+        assert np.array_equal(alg.basis.rows, link.basis.rows), alg.level
     for seed in (0, 1, 7):
         got = [[list(b) for b in wedderburn_decompose(alg, seed=seed).type.blocks] for alg in algs]
         assert got == [row["blocks"] for row in want], seed
+
+
+def test_cell_frame_matches_the_qr_frame():
+    # T4's disjoint cells, scaled, are an orthonormal basis; the same span
+    # without its cells takes the QR route, and both split the same way
+    graph, pc = gen_paley(13)
+    t4 = build_T(4, graph, 0, stab=paley_stabilizer_generators(pc))
+    plain = SpanBasis(13)
+    plain.rows, plain._piv = t4.basis.rows, t4.basis._piv
+    for seed in (0, 1, 7):
+        assert wedderburn_decompose(t4, seed=seed).type == wedderburn_decompose(plain, seed=seed).type
