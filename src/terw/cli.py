@@ -139,6 +139,7 @@ def build_parser() -> _Parser:
     s.add_argument("--jobs", type=_positive(int), default=None,
                    help="worker processes (default TERW_JOBS, else the CPU count)")
     s.add_argument("--out", default=None, help="output file, not the corpus (default stdout)")
+    s.add_argument("--decompose", action="store_true", help="also report Wedderburn types")
     s.add_argument("--node-budget", type=_positive(int), default=DEFAULT_NODE_BUDGET,
                    help="node cap of each search (default %(default)s)")
     s.add_argument("--time-budget", type=_positive(float), default=DEFAULT_TIME_BUDGET,
@@ -196,8 +197,8 @@ def _cmd_scan(args) -> int:
     # the corpus is opened before --out is truncated, so a missing corpus leaves an old output
     with open(args.corpus, "rb") as corpus:
         records = scan_corpus(
-            corpus, filter=args.filter, jobs=args.jobs, node_budget=args.node_budget,
-            time_budget=args.time_budget, stats=stats,
+            corpus, filter=args.filter, jobs=args.jobs, decompose=args.decompose,
+            node_budget=args.node_budget, time_budget=args.time_budget, stats=stats,
         )
         # each record is written as the scan yields it, so a bad line or a crash
         # keeps the graphs already classified

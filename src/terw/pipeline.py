@@ -7,11 +7,13 @@ so one representative suffices).  Each record comes from one
 chain's and its flags are read off them, a level the chain left None (a search
 budget miss) makes the record ``stabilizer-budget-exceeded``, and a level
 whose flag says it equals the level below takes that level's Wedderburn
-type instead of decomposing again.  T0 = <A> is the same span, with the
-same rows and generator, at every base, so it is decomposed for the first
-base of a graph only.  Scans are deterministic for any worker
-count: workers map over whole graphs and results are merged in input
-order, with records sorted by base representative inside each graph.
+type instead of decomposing again.  T0's and T1's types come from the
+spectrum of A, one ``eigh`` per graph under ``decompose`` (``spectral_types``),
+reconciled with their exact dims; a level whose check fails, or T1 without
+T0, is decomposed by ``wedderburn_decompose`` like levels 2-4.  Scans are
+deterministic for any worker count: workers map over whole graphs and
+results are merged in input order, with records sorted by base
+representative inside each graph.
 """
 
 from __future__ import annotations
@@ -26,13 +28,15 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional, Sequence
 
+import numpy as np
+
 # build_T is not called here, the chain builds every level; the name stays
 # importable because bench/tracing.py wraps terw.pipeline.build_T as a span site
 from .algebras import build_T, chain_with_algebras, equal_flags  # noqa: F401
 from .errors import BudgetExceededError, DecompositionError, Graph6Error
 from .graphs import Graph, iter_graph6_lines, parse_graph6, write_graph6
 from .groups import DEFAULT_NODE_BUDGET, automorphism_group, vertex_orbits
-from .structure import WedderburnType, wedderburn_decompose
+from .structure import WedderburnType, spectral_types, wedderburn_decompose
 
 STATUS_OK = "ok"
 STATUS_BUDGET = "stabilizer-budget-exceeded"
@@ -102,10 +106,10 @@ def classify_graph(
         targets = [(b, 1) for b in bases]
     targets.sort()
 
-    # T0's type once decomposed, None after a DecompositionError
-    t0_type: list[Optional[WedderburnType]] = []
+    # one spectrum of A serves T0's and T1's types at every base
+    spectrum = np.linalg.eigh(graph.adjacency_matrix()) if decompose else None
     return [
-        _classify_base(graph, base, orbit_size, g6, levels, decompose, node_budget, deadline, t0_type)
+        _classify_base(graph, base, orbit_size, g6, levels, spectrum, node_budget, deadline)
         for base, orbit_size in targets
     ]
 
@@ -117,26 +121,21 @@ def _wedderburn_type(alg) -> Optional[WedderburnType]:
         return None
 
 
-def _classify_base(graph, base, orbit_size, g6, levels, decompose, node_budget, deadline, t0_type):
+def _classify_base(graph, base, orbit_size, g6, levels, spectrum, node_budget, deadline):
     report, algs = chain_with_algebras(
         graph, base, levels=levels, node_budget=node_budget, deadline=deadline
     )
     status = STATUS_BUDGET if any(report.dims[lvl] is None for lvl in levels) else STATUS_OK
     types: list[Optional[WedderburnType]] = [None] * 5
-    if decompose and status == STATUS_OK:
+    if spectrum is not None and status == STATUS_OK:
+        spectral = spectral_types(spectrum, base, report.dims[0], report.dims[1])
         for lvl in levels:
             if lvl > 0 and report.equal_next[lvl - 1]:
                 # certified containment and equal dims: the same span, so the same
                 # normal-form rows and the same seeded type (or the same failure)
                 types[lvl] = types[lvl - 1]
                 continue
-            if lvl == 0 and t0_type:
-                # T0 = <A>: the same span, rows and generators [A] at every base of the graph
-                types[0] = t0_type[0]
-            else:
-                types[lvl] = _wedderburn_type(algs[lvl])
-                if lvl == 0:
-                    t0_type.append(types[0])
+            types[lvl] = (spectral[lvl] if lvl < 2 else None) or _wedderburn_type(algs[lvl])
             if types[lvl] is None:
                 status = STATUS_DECOMPOSE
     # the dims need no check: each built level lies in the next built one (adjacent ones are
@@ -144,7 +143,7 @@ def _classify_base(graph, base, orbit_size, g6, levels, decompose, node_budget, 
     # nondecreasing, and the record's flags are read off them
     return ScanRecord(
         graph6=g6, n=graph.n, base=base, orbit_size=orbit_size, dims=report.dims,
-        types=tuple(types) if decompose else None, status=status,
+        types=None if spectrum is None else tuple(types), status=status,
     )
 
 

@@ -16,10 +16,15 @@ runs as the center has dimensions, and the runs cover all of them, so
 block count = center dimension and weighted block sizes = matrix side hold
 by construction; sum of squared block sizes = algebra dimension is
 checked, and a mismatch raises instead of returning silently.
+
+The first two levels need no central element: ``spectral_types`` reads
+T0's and T1's types off one ``eigh`` of A, reconciled with their exact dims
+(None where a check fails, for the caller to decompose instead).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -29,7 +34,8 @@ from .algebras import AlgebraBasis
 from .errors import DecompositionError
 from .linalg import CellSpan, SpanBasis, center_basis
 
-# relative gap for clustering eigenvalues of the Hermitian central element
+# relative gap for clustering eigenvalues (of the Hermitian central element, or of A),
+# and the ratio by which the weights of the runs a base vertex sees must exceed the rest
 _CLUSTER_REL_TOL = 1e-6
 # a block trace must lie within this relative distance of a perfect square
 _TRACE_TOL = 1e-6
@@ -94,6 +100,47 @@ def _clusters(values: np.ndarray, count: int) -> Optional[list[np.ndarray]]:
     if len(cuts) + 1 != count:
         return None
     return np.split(np.arange(len(values)), cuts)
+
+
+def spectral_types(
+    spectrum: tuple[np.ndarray, np.ndarray], base: int, d0: Optional[int], d1: Optional[int]
+) -> tuple[Optional[WedderburnType], Optional[WedderburnType]]:
+    """Types of T0 = <A> and T1 = <A, E_x0> (x0 = base) read off ``eigh(A)``.
+
+    T0 is commutative: one C block per distinct eigenvalue θ, with its
+    multiplicity m_θ.  T1 = T0 + U⊗U = End(U) ⊕ T0|U^⊥ with U = T0 e_x0, spanned
+    by the E_θ e_x0 of the k eigenvalues x0 sees (s_θ = 1, else 0): one M_k block
+    with multiplicity 1, and a C block with multiplicity m_θ - s_θ where that is
+    positive.  So d1 - d0 = k² - #{seen θ with m_θ = 1} lies in [k² - k, k²],
+    which fixes k >= 1 from the exact dims, and the seen θ are the k runs that
+    carry the largest weight Σ V[x0, i]² of e_x0.
+
+    Each type is reconciled with the exact dims d0 and d1, or is None (the
+    caller decomposes that level, as it must where d0 or d1 is None): the
+    eigenvalues must fall into exactly d0 runs, else both are None; for T1,
+    the k-th largest weight must exceed the next by 1/_CLUSTER_REL_TOL, and
+    k² + #{θ : m_θ > s_θ} must equal d1.  No fixed threshold on the weights
+    would do: a seen run can weigh less than 1e-6 (vertex 5 of FRS~W).
+    """
+    values, vectors = spectrum
+    runs = None if d0 is None else _clusters(values, d0)
+    if runs is None:
+        return None, None
+    mult = np.array([len(idx) for idx in runs])
+    t0 = WedderburnType.from_pairs([(1, int(m)) for m in mult])
+    # the one k >= 1 with d1 - d0 in [k² - k, k²]: the smallest with k² >= d1 - d0
+    k = None if d1 is None else math.isqrt(max(d1 - d0, 1) - 1) + 1
+    if k is None or k > d0:
+        return t0, None
+    weights = np.add.reduceat(vectors[base] ** 2, [idx[0] for idx in runs])
+    ranked = np.argsort(-weights, kind="stable")
+    if k < d0 and weights[ranked[k]] >= _CLUSTER_REL_TOL * weights[ranked[k - 1]]:
+        return t0, None
+    rest = mult.copy()
+    rest[ranked[:k]] -= 1
+    if k * k + np.count_nonzero(rest) != d1:
+        return t0, None
+    return t0, WedderburnType.from_pairs([(k, 1)] + [(1, int(r)) for r in rest if r])
 
 
 def _float_stack(span: SpanBasis) -> np.ndarray:

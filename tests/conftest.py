@@ -1,3 +1,4 @@
+import json
 import pathlib
 import sys
 
@@ -36,3 +37,10 @@ def corpus_file_n5(tmp_path_factory):
     path = tmp_path_factory.mktemp("corpus5") / "connected_n5.g6"
     path.write_bytes(b"\n".join(corpus_lines(5, min_n=5)) + b"\n")
     return path
+
+
+@pytest.fixture(scope="session")
+def decompose_reference_n5():
+    """The lines of the benchmark's decomposition-scan reference with n <= 5."""
+    reference = pathlib.Path(__file__).resolve().parents[1] / "bench" / "reference" / "decompose_n6.jsonl"
+    return [line for line in reference.read_bytes().splitlines(keepends=True) if json.loads(line)["n"] <= 5]

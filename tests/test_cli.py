@@ -1,5 +1,6 @@
 import json
 
+from corpusgen import corpus_lines
 from terw.cli import build_parser, main
 from terw.graphs import gen_cycle, gen_delta, gen_paley, write_graph6
 
@@ -87,6 +88,16 @@ def test_scan_and_exit_codes(capsys, tmp_path):
     rows = [json.loads(l) for l in out_file.read_text().splitlines()]
     assert len(rows) == 1
     assert "scanned 1 graphs" in err
+
+
+def test_scan_decompose_writes_the_reference(capsys, tmp_path, decompose_reference_n5):
+    corpus = tmp_path / "c.g6"
+    corpus.write_bytes(b"\n".join(corpus_lines(5)) + b"\n")
+    for jobs in ("1", "2"):
+        out_file = tmp_path / f"o{jobs}.jsonl"
+        code, _, _ = run(capsys, "scan", str(corpus), "--decompose", "--jobs", jobs, "--out", str(out_file))
+        assert code == 0
+        assert out_file.read_bytes().splitlines(keepends=True) == decompose_reference_n5
 
 
 def test_decompose_command(capsys):

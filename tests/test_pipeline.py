@@ -1,6 +1,6 @@
 import json
-import pathlib
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -90,7 +90,7 @@ class TestClassify:
 
 
 class TestOncePerGraph:
-    """T0 and its type once per graph, one stabilizer search per record."""
+    """T0 and its spectrum once per graph, one stabilizer search per record."""
 
     LINES = corpus_lines(5, min_n=2)  # a one-vertex graph's stabilizer needs no search
 
@@ -111,13 +111,58 @@ class TestOncePerGraph:
         records = list(scan_corpus(self.LINES, jobs=1))
         assert len(searches) == len(self.LINES) + len(records)
 
-    def test_t0_decomposed_once_per_graph(self, monkeypatch):
+    def test_t0_and_t1_types_from_one_eigh_per_graph(self, monkeypatch):
+        # the adjacency matrix is the only integer matrix that reaches eigh
         decomposed = self._count(monkeypatch, pipeline, "wedderburn_decompose")
+        eigh = np.linalg.eigh
+        spectra = []
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: spectra.append(a.dtype.kind == "i") or eigh(a))
         records = list(scan_corpus(self.LINES, jobs=1, decompose=True))
-        assert sum(alg.level == 0 for (alg,) in decomposed) == len(self.LINES) < len(records)
+        assert not [alg.level for (alg,) in decomposed if alg.level < 2]
+        assert sum(spectra) == len(self.LINES) < len(records)
         assert {r.status for r in records} == {"ok"}
 
+
+def _broken_spectrum(monkeypatch, change):
+    """eigh of the adjacency matrix returns change(values, vectors) instead."""
+    eigh = np.linalg.eigh
+
+    def broken(a):
+        values, vectors = eigh(a)
+        return change(values, vectors) if a.dtype.kind == "i" else (values, vectors)
+
+    monkeypatch.setattr(np.linalg, "eigh", broken)
+
+
+class TestSpectralFallback:
+    """T0 and T1 whose spectral type fails a check are decomposed instead."""
+
+    def _decomposed_levels(self, monkeypatch):
+        levels = []
+        decompose = pipeline.wedderburn_decompose
+        monkeypatch.setattr(pipeline, "wedderburn_decompose", lambda alg, **k: levels.append(alg.level) or decompose(alg, **k))
+        return levels
+
+    def test_broken_spectrum_is_decomposed_to_the_same_record(self, monkeypatch):
+        expected = classify_graph(gen_delta(5), decompose=True)
+        levels = self._decomposed_levels(monkeypatch)
+        # e_x0 weighs the same on every eigenvalue: the apex (dim U = 3) has no k-largest
+        # split; bases 0 and 1 see all 5 eigenvalues, where T1 = M5 needs no split
+        _broken_spectrum(monkeypatch, lambda values, vectors: (values, np.full_like(vectors, vectors.shape[0] ** -0.5)))
+        assert classify_graph(gen_delta(5), decompose=True) == expected
+        assert [r.types[1].render() for r in expected] == ["M5", "M5", "M3+C+C"]
+        assert levels == [1, 3]  # the apex's T1, then its T3 as before
+
+    def test_t1_without_t0_is_decomposed(self, corpus):
+        for graph in corpus[5]:
+            full = classify_graph(graph, decompose=True)
+            upper = classify_graph(graph, levels=(1, 2, 3, 4), decompose=True)
+            assert [r.types[1:] for r in upper] == [r.types[1:] for r in full]
+            assert all(r.status == "ok" and r.types[0] is None for r in upper)
+
     def test_t0_failure_fails_every_base(self, monkeypatch):
+        # the eigenvalues fall into one run, not dim T0 of them, so T0 and T1 are decomposed
+        _broken_spectrum(monkeypatch, lambda values, vectors: (np.zeros_like(values), vectors))
         decompose = pipeline.wedderburn_decompose
         failed = []
 
@@ -129,8 +174,9 @@ class TestOncePerGraph:
 
         monkeypatch.setattr(pipeline, "wedderburn_decompose", fail_t0)
         recs = classify_graph(gen_delta(5), decompose=True)
-        assert failed == [0] and len(recs) == 3
+        assert failed == [0, 1, 4] and len(recs) == 3
         assert all(r.status == "decompose-failed" and r.types[0] is None for r in recs)
+        assert [r.types[1].render() for r in recs] == ["M5", "M5", "M3+C+C"]
         assert recs[2].types[3].render() == "M3+M2"
 
 
@@ -209,13 +255,11 @@ class TestScan:
                 assert rec.eq_flags == rep_rec.eq_flags
 
 
-def test_decomposition_scan_matches_reference_n5():
-    # levels equal to the one below take its type; the types must still be
-    # the ones the benchmark reference holds for every decomposition
-    reference = pathlib.Path(__file__).resolve().parents[1] / "bench" / "reference" / "decompose_n6.jsonl"
-    expected = [line for line in reference.read_bytes().splitlines(keepends=True) if json.loads(line)["n"] <= 5]
+def test_decomposition_scan_matches_reference_n5(decompose_reference_n5):
+    # levels equal to the one below take its type, T0 and T1 take the spectral
+    # ones; the types must still be the ones the benchmark reference holds
     got = emit_report(scan_corpus(corpus_lines(5), jobs=1, decompose=True), "jsonl")
-    assert got.splitlines(keepends=True) == expected
+    assert got.splitlines(keepends=True) == decompose_reference_n5
 
 
 class TestEmit:

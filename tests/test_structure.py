@@ -9,16 +9,18 @@ import pytest
 from oracles import (
     block_of_idempotent,
     commutator_center,
+    distinct_eigenvalue_count,
     exact_wedderburn_type,
     is_thin,
+    row_space_rank,
     sympy_center_dim,
 )
 from terw.errors import DecompositionError
-from terw.graphs import gen_cycle, gen_delta, gen_paley, gen_path, gen_star
-from terw.groups import paley_stabilizer_generators
+from terw.graphs import gen_cycle, gen_delta, gen_paley, gen_path, gen_star, parse_graph6
+from terw.groups import automorphism_group, paley_stabilizer_generators, vertex_orbits
 from terw.algebras import build_T, chain_with_algebras, idempotent_for_set
 from terw.linalg import RowSpace, SpanBasis, algebra_closure, center_basis
-from terw.structure import WedderburnType, wedderburn_decompose
+from terw.structure import _CLUSTER_REL_TOL, WedderburnType, _clusters, spectral_types, wedderburn_decompose
 
 
 def E(n, i, j):
@@ -345,6 +347,8 @@ def test_paley_table_matches_bench_reference(q):
     for seed in (0, 1, 7):
         got = [[list(b) for b in wedderburn_decompose(alg, seed=seed).type.blocks] for alg in algs]
         assert got == [row["blocks"] for row in want], seed
+    spectral = spectral_types(np.linalg.eigh(graph.adjacency_matrix()), 0, algs[0].dim, algs[1].dim)
+    assert [[list(b) for b in t.blocks] for t in spectral] == got[:2]
 
 
 def test_cell_frame_matches_the_qr_frame():
@@ -356,3 +360,49 @@ def test_cell_frame_matches_the_qr_frame():
     plain.rows, plain._piv = t4.basis.rows, t4.basis._piv
     for seed in (0, 1, 7):
         assert wedderburn_decompose(t4, seed=seed).type == wedderburn_decompose(plain, seed=seed).type
+
+
+class TestSpectralTypes:
+    def test_equal_to_the_decomposition_at_every_base_orbit(self, corpus):
+        """T0's and T1's types read off eigh(A), never None here, equal
+        wedderburn_decompose's at every base-orbit representative of every
+        connected graph with n <= 6."""
+        for n in range(1, 7):
+            for graph in corpus[n]:
+                spectrum = np.linalg.eigh(graph.adjacency_matrix())
+                for cell in vertex_orbits(automorphism_group(graph)).cells:
+                    _, algs = chain_with_algebras(graph, cell[0], levels=(0, 1))
+                    got = spectral_types(spectrum, cell[0], algs[0].dim, algs[1].dim)
+                    assert got == (wedderburn_decompose(algs[0]).type, wedderburn_decompose(algs[1]).type)
+
+    @staticmethod
+    def _ranked_weights(graph):
+        """Per vertex: dim U exactly, and e_x's run weights in descending order,
+        the runs cut at the exact number of distinct eigenvalues."""
+        a = graph.adjacency_matrix()
+        values, vectors = np.linalg.eigh(a)
+        runs = _clusters(values, distinct_eigenvalue_count(graph))
+        assert runs is not None
+        powers = [np.linalg.matrix_power(a, i) for i in range(graph.n)]
+        for x in range(graph.n):
+            k = row_space_rank([p[:, x] for p in powers])
+            yield k, np.sort(np.add.reduceat(vectors[x] ** 2, [idx[0] for idx in runs]))[::-1]
+
+    def test_seen_runs_split_off_by_the_margin(self, corpus):
+        # the k = dim U largest weights are the seen runs, at least 1/_CLUSTER_REL_TOL
+        # above the rest, at every vertex of every connected graph with n <= 7
+        for n in range(1, 8):
+            for graph in corpus[n]:
+                for k, ranked in self._ranked_weights(graph):
+                    assert ranked[k - 1] > 0
+                    assert k == len(ranked) or ranked[k] < _CLUSTER_REL_TOL * ranked[k - 1]
+
+    def test_a_fixed_threshold_misses_a_seen_run(self):
+        # vertex 5 of FRS~W sees all 7 eigenvalues, one with weight just under 1e-6:
+        # a cut at _CLUSTER_REL_TOL would count 6 seen runs, the k = dim U largest are 7
+        graph = parse_graph6(b"FRS~W")
+        k, ranked = list(self._ranked_weights(graph))[5]
+        assert k == len(ranked) == 7 and np.count_nonzero(ranked > _CLUSTER_REL_TOL) == 6
+        _, algs = chain_with_algebras(graph, 5, levels=(0, 1))
+        spectral = spectral_types(np.linalg.eigh(graph.adjacency_matrix()), 5, algs[0].dim, algs[1].dim)
+        assert spectral[1] == wedderburn_decompose(algs[1]).type
