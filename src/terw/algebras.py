@@ -18,11 +18,10 @@ A on T4's orbital cells per base, and otherwise checks on vertex labels:
   * levels 0-3 are transpose-closed because every generator is symmetric
     (the transpose of a word is the reversed word): A comes from a ``Graph``,
     whose constructors force symmetry, and the idempotents are diagonal.
-    Each holds the identity: a closure starts from span{I} or from the
-    level below, T1 takes in T0's rows or is U⊗U = M_n, and a level that
-    reaches dim T4 takes T4's basis, which holds I as the sum of its
-    diagonal cells.
-    Neither fact is re-checked;
+    Each holds the identity: T0's closure starts from span{I}, T1 takes in
+    T0's rows or is U⊗U = M_n, levels 2-3 extend the level below, and a
+    level that reaches dim T4 takes T4's basis, which holds I as the sum of
+    its diagonal cells.  Neither fact is re-checked;
   * level 4 is a unital transpose-closed algebra by construction, the
     commutant of the stabilizer: its cells are the orbits of a group of
     bijections on the vertex pairs (``orbitals``), so they partition the
@@ -30,9 +29,10 @@ A on T4's orbital cells per base, and otherwise checks on vertex labels:
     orbit is diagonal (so I is a sum of cells), and transposing commutes
     with the diagonal action (so the transpose of a cell is a cell);
   * A lies in T4 once it is constant on every orbital cell, which
-    ``build_T`` checks wherever it reads the cells (``_orbital_span``).  A
-    stabilizer passed in must consist of automorphisms that fix x0 (else
-    ValueError), so the check certifies the search;
+    ``build_T`` checks where it reads the cells, at level 4
+    (``_orbital_span``).  A stabilizer passed in must consist of
+    automorphisms that fix x0 (else ValueError), so the check certifies the
+    search;
   * level k <= 3 is generated by A and the idempotents of its vertex cells:
     none at level 0, {x0} at level 1, the distance cells at level 2 and the
     stabilizer orbits at level 3.  The idempotent of a union of cells is the
@@ -46,15 +46,13 @@ A on T4's orbital cells per base, and otherwise checks on vertex labels:
 
 A failed certificate raises CertificationError.
 
-Levels 1-3 are closed inside T4 whenever T4 is at hand: from the chain
-(``within``), or read off the orbitals of a stabilizer found without an
-extra search (a given ``stab``, or level 3's own search), A certified on
-them as at level 4.  Such a closure runs on T4's d4 cell coordinates
-instead of the n² entries, to the same normal form (``linalg``).
-
-Containment also makes the chain incremental.  ``chain_with_algebras``
-builds T4 first (level 3 then takes the group of its stabilizer search:
-``stabilizer`` keeps its last result), then levels 0-3 in ascending order:
+Each level has one construction, as in the paper: the level below plus the
+idempotents of a finer vertex partition.  T4 comes first when level 3 needs
+its group or a stabilizer is given (level 3 then takes the group of T4's
+search: ``stabilizer`` keeps its last result).  Then ``_steps`` builds
+levels 0..k in ascending order, each on the level below and inside T4 when
+T4 is at hand; ``chain_with_algebras`` and a ``build_T`` from scratch run
+these same steps:
 
   * T0 = <A> is span{I, A, ..., A^(k-1)}, k the number of distinct
     eigenvalues of A, so its closure inserts A's powers as one block after
@@ -77,15 +75,17 @@ builds T4 first (level 3 then takes the group of its stabilizer search:
     extend the basis of the level below (``algebra_closure(...,
     below=...)``); a level equal to the one below costs one reduction and
     shares its basis object;
-  * every closure of levels 1-3 stops once it reaches dim T4 (``within``):
-    a subspace of T4 of that dimension is T4, so that level takes T4's
-    basis object, and equal levels share one object all the way up;
+  * inside T4 (``within``) the closure of levels 2-3 runs on T4's d4 cell
+    coordinates instead of the n² entries, to the same normal form
+    (``linalg``), and every level stops once it reaches dim T4: a subspace
+    of T4 of that dimension is T4, so that level takes T4's basis object,
+    and equal levels share one object all the way up;
   * only the first build, with neither ``below`` nor ``within``, checks
     that the graph is connected, and A is read once per chain: by T4, by
     levels 1-3 from the level below, by level 0 from T0's memo.
 
-A level built this way is returned only after the certificates of its
-containment of the level below and in T4 have passed.
+A level is returned only after the certificates of its containment of the
+level below and in T4 have passed.
 """
 
 from __future__ import annotations
@@ -198,6 +198,14 @@ def _vertex_labels(n: int, cells) -> np.ndarray:
     return labels
 
 
+def _steps(graph: Graph, base: int, top: int, within: Optional[AlgebraBasis], **search) -> list[AlgebraBasis]:
+    """Levels 0..top of (graph, base), each built on the level below, inside T4 when given."""
+    algs: list[AlgebraBasis] = []
+    for lvl in range(top + 1):
+        algs.append(build_T(lvl, graph, base, below=algs[-1] if algs else None, within=within, **search))
+    return algs
+
+
 def build_T(
     level: int,
     graph: Graph,
@@ -211,39 +219,33 @@ def build_T(
 ) -> AlgebraBasis:
     """Exact basis of the level-0..4 algebra of (graph, base).
 
-    Level 0 ignores the base vertex (the adjacency algebra does not depend
-    on it) but records it; its rows are the graph's one kept T0, read-only.
-    Levels 3 and 4 need the base-vertex stabilizer: pass one in (e.g. an
-    analytic Paley group) or it is found by search, which keeps its last
-    group, so level 3 after level 4 with the same arguments searches no
-    more; a search past node_budget nodes or the deadline (a
-    ``time.monotonic()`` instant) is a BudgetExceededError.  Level 4 is
-    read off its orbital labels, whose cells already are the normal form,
-    once A is certified constant on them.  Levels 0-3 are generated by A
-    and the idempotents of their vertex cells (``AlgebraBasis.cells``).
+    Each level is built one way: level 0 is the graph's one kept T0 (it
+    ignores the base vertex but records it), read-only; level 4 is read off
+    the orbital labels of the base-vertex stabilizer, whose cells already
+    are the normal form, once A is certified constant on them; levels 1-3
+    are one step on ``below``, the level-(level-1) algebra of the same
+    (graph, base), inside ``within``, its level-4 algebra, when that is
+    given (see the module docstring).  Levels 0-3 are generated by A and
+    the idempotents of their vertex cells (``AlgebraBasis.cells``).
 
-    A given stabilizer is used at levels 3 and 4, and at levels 1 and 2
-    built without ``within`` (level 1 also without ``below``), which close
-    inside the T4 it gives, as level 3 does with a searched one.  A given
-    generator that moves the base vertex or is no automorphism is a
-    ValueError (a searched group that fails the check of A on its orbitals
-    is a CertificationError).
+    Levels 3 and 4 need the stabilizer: pass one in (e.g. an analytic Paley
+    group) or it is found by search, which keeps its last group, so level 3
+    after level 4 with the same arguments searches no more; a search past
+    node_budget nodes or the deadline (a ``time.monotonic()`` instant) is a
+    BudgetExceededError.  A given generator that moves the base vertex or
+    is no automorphism is a ValueError (a searched group that fails the
+    check of A on its orbitals is a CertificationError).
 
-    ``below`` is the level-(level-1) algebra of the same (graph, base),
-    given to levels 1-3.  Level 1 is then T0 + U⊗U with U the cyclic module T0 e_x0, built
-    without a closure; levels 2-3 extend below's basis instead of closing
-    from the identity; a level equal to ``below`` returns its very basis
-    object.  Before the algebra is returned, the containment of ``below``
-    is certified: each of below's cells is a union of this level's cells.
-
-    ``within`` is the level-4 algebra of the same (graph, base), given to
-    levels 0-3.  The closure of levels 1-3 runs inside it, on its cell
-    coordinates, and stops once it reaches dim T4; a level equal to T4
-    returns T4's basis object, and the level is certified inside T4: each
-    of its cells is a union of stabilizer orbits, T4's diagonal cells (A
-    was certified when T4 was built).  Without ``below`` and ``within``
-    every level is built from scratch, to the same basis; then the graph
-    is checked to be connected.
+    A missing input is built first, as the chain builds it: T4 when
+    ``within`` is missing at level 3, or at levels 1-2 with a given
+    stabilizer, then levels 0..level-1 (``_steps``) when ``below`` is
+    missing.  A level
+    equal to the one below returns below's very basis object, and one equal
+    to T4 returns T4's.  Before a level is returned, each of below's cells
+    is certified a union of this level's cells, and each of this level's a
+    union of stabilizer orbits, T4's diagonal cells (A was certified when
+    T4 was built).  The first build of a chain, with neither ``below`` nor
+    ``within``, checks that the graph is connected.
     """
     if level not in LEVELS:
         raise ValueError(f"level must be one of {LEVELS}")
@@ -253,6 +255,11 @@ def build_T(
         raise ValueError("below must be the algebra one level down of the same graph and base, given to levels 1-3")
     if within is not None and (level == 4 or (within.level, within.base, within.n) != (4, base, graph.n)):
         raise ValueError("within must be the level-4 algebra of the same graph and base, given to levels 0-3")
+    if level in (1, 2, 3):
+        if within is None and (level == 3 or stab is not None):
+            within = build_T(4, graph, base, stab=stab, node_budget=node_budget, deadline=deadline)
+        if below is None:
+            below = _steps(graph, base, level - 1, within, stab=stab, node_budget=node_budget, deadline=deadline)[-1]
     # a chain checks the graph and reads A once: levels 1-3 take A from below, level 0 from T0's memo
     if below is None and within is None and not graph.is_connected():
         raise ValueError("algebra builders need a connected graph")
@@ -263,27 +270,21 @@ def build_T(
         a = _adjacency_algebra(graph)[0]
     else:
         a = graph.adjacency_matrix()
-    # a closure without within runs inside the T4 of a stabilizer at hand without a search
-    closes = level in (2, 3) or (level == 1 and below is None)
-    group = None
-    if stab is not None and (level >= 3 or (closes and within is None)):
-        # the search fixes the base by construction; a given group need not
-        group = stab
+    if level >= 3:
+        group = stab if stab is not None else stabilizer(graph, base, node_budget=node_budget, deadline=deadline)
+        # a searched group fixes the base by construction; a given one need not
         if group.n != n:
             raise ValueError(f"stabilizer acts on {group.n} points, the graph has {n}")
         if any(g(base) != base for g in group.gens):
             raise ValueError(f"a stabilizer generator moves the base vertex {base}")
-    elif level >= 3:
-        group = stabilizer(graph, base, node_budget=node_budget, deadline=deadline)
-    container = None if within is None else within.basis
-    if group is not None and (level == 4 or container is None):
-        container = _orbital_span(a, group, given=stab is not None)
     if level == 4:
+        container = _orbital_span(a, group, given=stab is not None)
         basis, cells, labels = container, None, container.cells
         # a basis generates its own span
         gens = basis.rows.reshape(-1, n, n)
         names = tuple(f"A[orbital {i}]" for i in range(basis.dim))
     else:
+        container = None if within is None else within.basis
         cells = ()
         if level == 1:
             cells = ((base,),)
@@ -308,7 +309,7 @@ def build_T(
         basis = copy.copy(_adjacency_algebra(graph)[1])
         if within is not None and basis.dim == within.dim:
             basis = within.basis
-    elif level == 1 and below is not None:
+    elif level == 1:
         # T1 = T0 + U⊗U, U = T0 e_x0 (see the module docstring)
         module = RowSpace(n)
         module.insert_block(below.basis.rows.reshape(-1, n, n)[:, :, base])
@@ -321,10 +322,8 @@ def build_T(
         elif within is not None and basis.dim == within.dim:
             basis = within.basis
     elif level < 4:
-        basis = algebra_closure(gens, side=n, below=None if below is None else below.basis, within=container)
-        # a T4 built here is no object to share: a level equal to below shares below's
-        if below is not None and basis.dim == below.dim:
-            basis = below.basis
+        # a closure that adds nothing returns below's basis object, one that reaches dim T4 T4's
+        basis = algebra_closure(gens, side=n, below=below.basis, within=container)
     # levels 0-3 are unital and transpose-closed by construction (see the module docstring)
     return AlgebraBasis(
         level=level,
@@ -379,40 +378,34 @@ def chain_with_algebras(
 ) -> tuple[ChainReport, list[Optional[AlgebraBasis]]]:
     """Dims of the requested levels, and the algebras.
 
-    Level 4 is built first with ``build_T``, then levels 0-3 in ascending
-    order, each passed the level below as ``below`` when that level was
-    built and T4 as ``within`` when it was: level 1 is T0 + U⊗U, levels 2-3
-    extend the basis below, and every closure stops at dim T4, so equal
-    levels share one ``SpanBasis`` all the way up to T4's.  ``build_T``
-    certifies the containment of ``below`` and of T4 from partition facts
-    (see the module docstring) before it returns, so every flag between
-    adjacent built levels is certified.  Without a given stabilizer, level
-    4 searches it under the node budget and the one ``time.monotonic()``
-    deadline, and level 3 asks again with the same arguments and gets the
-    kept group without a search, so it cannot miss the budget once level 4
-    has met it.  A BudgetExceededError (from level 4's search, or level
-    3's when level 4 is not requested) leaves levels 3 and 4 None in the
-    dims and the returned list, as are the levels not requested; levels
-    0-2 are still built, without T4 when level 4 missed.  ``witness``
-    gives, on request, a matrix of a strict step's larger algebra outside
-    the smaller one.
+    T4 is built first with ``build_T`` when level 3 or 4 is requested or a
+    stabilizer is given, then every level from 0 up to the highest
+    requested one below 4, each one step on the level below and inside T4
+    when it was built (``_steps``, the steps of a ``build_T`` from
+    scratch): level 1 is T0 + U⊗U, levels 2-3 extend the basis below, and
+    every level stops at dim T4, so equal levels share one ``SpanBasis``
+    all the way up to T4's.  ``build_T`` certifies the containment of the
+    level below and of T4 from partition facts (see the module docstring)
+    before it returns, so every flag between adjacent built levels is
+    certified.  Without a given stabilizer, T4 searches it under the node
+    budget and the one ``time.monotonic()`` deadline, and level 3 asks
+    again with the same arguments and gets the kept group without a search.
+    A BudgetExceededError from T4's search leaves levels 3 and 4 None, and
+    levels 0-2 are built without T4.  Only the requested levels are
+    reported: the others are None in the dims and the returned list.
+    ``witness`` gives, on request, a matrix of a strict step's larger
+    algebra outside the smaller one.
     """
-    algs: list[Optional[AlgebraBasis]] = [None] * len(LEVELS)
-    wanted = sorted(set(levels), key=lambda lvl: (lvl < 4, lvl))
-    top = len(LEVELS)
-    for lvl in wanted:
-        if lvl >= top:
-            continue
-        # T4 comes first, so it gets neither below nor within
-        below = algs[lvl - 1] if lvl > 0 else None
+    wanted = set(levels)
+    search = dict(stab=stab, node_budget=node_budget, deadline=deadline)
+    top = max((lvl for lvl in wanted if lvl < 4), default=-1)
+    t4 = None
+    if stab is not None or wanted & {3, 4}:
         try:
-            algs[lvl] = build_T(
-                lvl, graph, base, stab=stab, node_budget=node_budget, deadline=deadline,
-                below=below, within=algs[4],
-            )
+            t4 = build_T(4, graph, base, **search)
         except BudgetExceededError:
-            # only levels 3 and 4 search, so a miss ends the chain above level 2
-            top = 3
-            algs[top:] = [None] * (len(LEVELS) - top)
-    dims = tuple(None if alg is None else alg.dim for alg in algs)
-    return ChainReport(dims=dims), algs
+            # level 3 needs the group that search missed, so a miss ends the chain above level 2
+            top = min(top, 2)
+    built = _steps(graph, base, top, t4, **search) + [None] * (3 - top) + [t4]
+    algs = [alg if lvl in wanted else None for lvl, alg in enumerate(built)]
+    return ChainReport(dims=tuple(None if alg is None else alg.dim for alg in algs)), algs

@@ -18,6 +18,7 @@ import argparse
 import contextlib
 import os
 import sys
+import time
 from typing import Optional
 
 from .algebras import build_T
@@ -218,7 +219,8 @@ def _cmd_scan(args) -> int:
 
 def _cmd_decompose(args) -> int:
     graph = parse_graph6(args.graph)
-    alg = build_T(args.level, graph, args.base)
+    # the stabilizer search of levels 3-4 runs under the same time budget as compute's and scan's
+    alg = build_T(args.level, graph, args.base, deadline=time.monotonic() + DEFAULT_TIME_BUDGET)
     dec = wedderburn_decompose(alg)
     blocks = " ".join(f"({n},{m})" for n, m in dec.type.blocks)
     print(f"dim={alg.dim} type={dec.type.render()} blocks={blocks}")

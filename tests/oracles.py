@@ -6,7 +6,8 @@ string-of-bits graph6 encoder, common-neighbor counting for strong
 regularity, products and memberships checked by exact elimination where
 the package certifies closure and containment from partition facts, a
 row-at-a-time elimination and closure where the package works a block of
-rows at a time, and a fully exact Wedderburn type via minimal-polynomial
+rows at a time, each level closed from span{I} where the package builds it
+on the level below, and a fully exact Wedderburn type via minimal-polynomial
 factorization with rational projector arithmetic (sympy).  It also holds
 graph invariants that only the tests compare against: the exact
 characteristic polynomial and spectrum summary, distance regularity, strong
@@ -35,9 +36,12 @@ import sympy
 
 from terw.algebras import AlgebraBasis, build_T, idempotent_for_set
 from terw.errors import CertificationError
-from terw.graphs import Graph, PaleyConstruction
-from terw.groups import Perm, PermGroup, is_automorphism, paley_stabilizer_generators
-from terw.linalg import RowSpace, SpanBasis, as_int_matrix, exact_matmul
+from terw.graphs import Graph, PaleyConstruction, bfs_distance_partition
+from terw.groups import (
+    Perm, PermGroup, is_automorphism, orbital_matrices, orbitals, paley_stabilizer_generators, stabilizer,
+    vertex_orbits,
+)
+from terw.linalg import RowSpace, SpanBasis, algebra_closure, as_int_matrix, exact_matmul
 from terw.structure import WedderburnDecomposition, wedderburn_decompose
 
 # absolute gap below which two numerically computed adjacency eigenvalues
@@ -217,6 +221,34 @@ def rowwise_closure(generators, side: int | None = None) -> RowwiseSpan:
             if row is not None:
                 queue.append(row.reshape(side, side).copy())
     return basis
+
+
+def level_from_identity(graph: Graph, base: int, level: int, stab: Optional[PermGroup] = None, within=None):
+    """Level 0-4 of (graph, base) without the chain, and the level's vertex cells.
+
+    Levels 0-3 are closed from span{I} by ``algebra_closure`` over A and the
+    idempotents of their cells, found here: {base}, the distance cells, the
+    stabilizer's vertex orbits.  The closure runs on n² entries, or inside
+    ``within`` (T4, on its cell coordinates) when that is given.  Level 4 is
+    the elimination of the stabilizer's orbital matrices, its cells None.
+    The stabilizer is ``stab`` when given, else searched.
+    """
+    n = graph.n
+    if level >= 3:
+        group = stab if stab is not None else stabilizer(graph, base)
+    if level == 4:
+        span = SpanBasis(n)
+        span.insert_block(np.reshape(orbital_matrices(orbitals(group)), (-1, n * n)))
+        return span, None
+    cells = ()
+    if level == 1:
+        cells = ((base,),)
+    elif level == 2:
+        cells = bfs_distance_partition(graph, base).cells
+    elif level == 3:
+        cells = vertex_orbits(group, base=base).cells
+    gens = [graph.adjacency_matrix()] + [idempotent_for_set(n, c) for c in cells]
+    return algebra_closure(gens, side=n, within=within), cells
 
 
 def complement(graph: Graph) -> Graph:

@@ -23,7 +23,7 @@ from terw.groups import (
     vertex_orbits,
 )
 from terw.algebras import build_T, chain_with_algebras, idempotent_for_set, witness
-from terw.errors import CertificationError
+from terw.errors import BudgetExceededError, CertificationError
 from terw.linalg import RowSpace, SpanBasis, algebra_closure, exact_matmul
 
 from oracles import (
@@ -31,6 +31,7 @@ from oracles import (
     corner,
     is_commutative,
     is_multiplicatively_closed,
+    level_from_identity,
     pendant_reduction_check,
     principal_row_dim,
     rowwise_closure,
@@ -437,21 +438,23 @@ class TestAdjacencyAlgebraMemo:
 
 class TestSeededChain:
     """T4 comes first, levels 1-3 of the chain extend the level below and
-    stop at dim T4; each equals build_T from scratch row for row, and equal
-    levels share one basis object."""
+    stop at dim T4; each equals the closure of its generators from span{I}
+    row for row (inside T4 with a given group), T4 the elimination of its
+    orbital matrices, and equal levels share one basis object."""
 
     @staticmethod
     def _check(graph, base, levels=algebras.LEVELS, stab=None):
         report, algs = chain_with_algebras(graph, base, levels=levels, stab=stab)
+        within = algs[4].basis if stab is not None else None
         built = {}
         for lvl in levels:
-            oracle = build_T(lvl, graph, base, stab=stab)
+            oracle, cells = level_from_identity(graph, base, lvl, stab=stab, within=within)
             alg, label = algs[lvl], (graph.n, base, lvl)
-            assert alg.basis.pivots == oracle.basis.pivots, label
-            assert alg.basis.rows.dtype == oracle.basis.rows.dtype, label
-            assert alg.basis.rows.tolist() == oracle.basis.rows.tolist(), label
-            assert (alg.generators, alg.cells) == (oracle.generators, oracle.cells), label
-            built[lvl] = oracle.basis
+            assert alg.basis.pivots == oracle.pivots, label
+            assert alg.basis.rows.dtype == oracle.rows.dtype, label
+            assert alg.basis.rows.tolist() == oracle.rows.tolist(), label
+            assert alg.cells == cells, label
+            built[lvl] = oracle
         witnesses = {}
         for lvl in range(4):
             if lvl in built and lvl + 1 in built and built[lvl].dim < built[lvl + 1].dim:
@@ -497,7 +500,7 @@ class TestSeededChain:
         # T1 = U⊗U = M_n and T0's rows are not inserted, with or without T4
         g = gen_path(5)
         t0, t4 = build_T(0, g, 0), build_T(4, g, 0)
-        oracle = build_T(1, g, 0)
+        oracle, _ = level_from_identity(g, 0, 1)
         blocks = []
         insert_block = RowSpace.insert_block
 
@@ -510,7 +513,7 @@ class TestSeededChain:
         capped = build_T(1, g, 0, below=t0, within=t4)
         monkeypatch.undo()
         assert blocks == [5, 5]  # the module U's rows, once per build
-        assert free.dim == 25 and free.basis.rows.tolist() == oracle.basis.rows.tolist()
+        assert free.dim == 25 and free.basis.rows.tolist() == oracle.rows.tolist()
         assert capped.basis is t4.basis
 
     def test_below_must_be_the_level_below(self):
@@ -558,7 +561,7 @@ class TestSeededChain:
         # automorphism; its orbits would give T3 and T4 dims 25 and 17,
         # where the true stabilizer gives 13 and 13
         swap = PermGroup(5, (Perm((1, 0, 2, 3, 4)),))
-        # levels 1 and 2 close inside the T4 of a given group, so they check it too
+        # from scratch, levels 1 and 2 are built inside the T4 of a given group, so they check it too
         for level in (1, 2, 3, 4):
             with pytest.raises(ValueError, match="a stabilizer generator is not an automorphism of the graph"):
                 build_T(level, gen_delta(5), 4, stab=swap)
@@ -597,6 +600,93 @@ class TestSeededChain:
         for level, base, within in [(0, 3, t4), (4, 4, t4), (2, 4, t1)]:
             with pytest.raises(ValueError):
                 build_T(level, g, base, within=within)
+
+
+def _chain_cases(corpus=None):
+    """(graph, base, stab): every base-orbit representative with n <= 6 when
+    the corpus is given, else a few hand-picked ones, and Paley(13) at 0
+    with its analytic stabilizer."""
+    if corpus is None:
+        cases = [(gen_delta(5), 4), (gen_delta(6), 4), (gen_path(5), 1), (gen_star(5), 1), (gen_cycle(6), 0)]
+    else:
+        cases = [(g, base) for n in range(1, 7) for g in corpus[n] for base in _orbit_representatives(g)]
+    paley, pc = gen_paley(13)
+    return [(g, base, None) for g, base in cases] + [(paley, 0, paley_stabilizer_generators(pc))]
+
+
+def _assert_same_level(alg, ref, label):
+    assert alg.basis.pivots == ref.basis.pivots, label
+    assert alg.basis.rows.dtype == ref.basis.rows.dtype, label
+    assert alg.basis.rows.tolist() == ref.basis.rows.tolist(), label
+    assert alg.cells == ref.cells, label
+
+
+class TestOneConstructionPerLevel:
+    """build_T from scratch and a chain over any levels run the same steps."""
+
+    def test_from_scratch_equals_the_full_chain(self, corpus):
+        for g, base, stab in _chain_cases(corpus):
+            _, chain = chain_with_algebras(g, base, stab=stab)
+            for lvl in algebras.LEVELS:
+                _assert_same_level(build_T(lvl, g, base, stab=stab), chain[lvl], (g.n, base, lvl))
+
+    @pytest.mark.parametrize("levels", [(1,), (2,), (3,), (2, 3), (1, 2, 3, 4)])
+    def test_requested_levels_equal_the_full_chain(self, levels):
+        for g, base, stab in _chain_cases():
+            full_report, full = chain_with_algebras(g, base, stab=stab)
+            report, algs = chain_with_algebras(g, base, levels=levels, stab=stab)
+            for lvl in algebras.LEVELS:
+                label = (g.n, base, lvl)
+                if lvl in levels:
+                    _assert_same_level(algs[lvl], full[lvl], label)
+                    assert report.dims[lvl] == full_report.dims[lvl], label
+                else:
+                    assert algs[lvl] is None and report.dims[lvl] is None, label
+
+    def test_levels_1_to_3_build_on_the_level_below(self, monkeypatch):
+        # no closure from span{I} above level 0, and T4 read off orbitals only at level 4
+        levels, closures, orbital_reads = [], [], []
+        build, closure, orbital_span = algebras.build_T, algebras.algebra_closure, algebras._orbital_span
+
+        def spy_build(level, *args, **kwargs):
+            levels.append(level)
+            try:
+                return build(level, *args, **kwargs)
+            finally:
+                levels.pop()
+
+        def spy_closure(*args, below=None, **kwargs):
+            closures.append((levels[-1], below is None))
+            return closure(*args, below=below, **kwargs)
+
+        def spy_orbital_span(*args, **kwargs):
+            orbital_reads.append(levels[-1])
+            return orbital_span(*args, **kwargs)
+
+        monkeypatch.setattr(algebras, "build_T", spy_build)
+        monkeypatch.setattr(algebras, "algebra_closure", spy_closure)
+        monkeypatch.setattr(algebras, "_orbital_span", spy_orbital_span)
+        for g, base, stab in _chain_cases():
+            for lvl in algebras.LEVELS:
+                algebras._adjacency_algebra.cache_clear()
+                algebras.build_T(lvl, g, base, stab=stab)
+            for chain_levels in [algebras.LEVELS, (1,), (2, 3), (1, 2, 3, 4)]:
+                algebras._adjacency_algebra.cache_clear()
+                chain_with_algebras(g, base, levels=chain_levels, stab=stab)
+        assert {lvl for lvl, fresh in closures if fresh} == {0}
+        assert {lvl for lvl, fresh in closures if not fresh} == {2, 3}
+        assert set(orbital_reads) == {4}
+
+    def test_from_scratch_search_miss_raises(self):
+        # two search nodes are too few for the stabilizer of Delta(6) at 4; levels 1-2
+        # search nothing without a given group, so they are still built
+        g = gen_delta(6)
+        for level in (3, 4):
+            with pytest.raises(BudgetExceededError):
+                build_T(level, g, 4, node_budget=2)
+        _, chain = chain_with_algebras(g, 4)
+        for level in (1, 2):
+            _assert_same_level(build_T(level, g, 4, node_budget=2), chain[level], level)
 
 
 _UNDER_O = """
@@ -751,34 +841,33 @@ class TestPendantReduction:
 
 class TestStructuralInvariants:
     @staticmethod
-    def _algebras(corpus):
-        """Every level of each graph, from scratch and from the seeded, capped chain.
+    def _bases(corpus):
+        """Every level of each graph from the chain, and levels 0-3 closed
+        from span{I} (inside T4 with a given group).
 
         The builders do not check these facts, which hold by construction,
-        and the decomposition trusts them, so the tests check both routes,
-        on a few 5-vertex graphs and on Paley(13) with its analytic
-        stabilizer.
+        and the decomposition trusts them, so the tests check the chain and
+        the closure from the identity, on a few 5-vertex graphs and on
+        Paley(13) with its analytic stabilizer.
         """
-        for g in corpus[5][:10]:
-            for lvl in range(5):
-                yield g, build_T(lvl, g, 0)
-            for alg in chain_with_algebras(g, 0)[1]:
-                yield g, alg
-        g, pc = gen_paley(13)
-        stab = paley_stabilizer_generators(pc)
-        for lvl in range(5):
-            yield g, build_T(lvl, g, 0, stab=stab)
-        for alg in chain_with_algebras(g, 0, stab=stab)[1]:
-            yield g, alg
+        paley, pc = gen_paley(13)
+        cases = [(g, None) for g in corpus[5][:10]] + [(paley, paley_stabilizer_generators(pc))]
+        for g, stab in cases:
+            algs = chain_with_algebras(g, 0, stab=stab)[1]
+            within = algs[4].basis if stab is not None else None
+            for alg in algs:
+                yield g, alg.basis
+            for lvl in range(4):
+                yield g, level_from_identity(g, 0, lvl, stab=stab, within=within)[0]
 
     def test_transpose_closure_explicit(self, corpus):
-        for _, alg in self._algebras(corpus):
-            for m in alg.basis.matrices():
-                assert alg.contains(m.T.copy())
+        for _, basis in self._bases(corpus):
+            for m in basis.matrices():
+                assert basis.contains(m.T.copy())
 
     def test_identity_membership(self, corpus):
-        for g, alg in self._algebras(corpus):
-            assert alg.contains(np.eye(g.n, dtype=np.int64))
+        for g, basis in self._bases(corpus):
+            assert basis.contains(np.eye(g.n, dtype=np.int64))
 
     def test_level0_dim_equals_distinct_eigenvalues(self, corpus):
         from oracles import spectrum_summary

@@ -1,4 +1,5 @@
 import json
+import time
 
 from corpusgen import corpus_lines
 from terw.cli import build_parser, main
@@ -105,6 +106,33 @@ def test_decompose_command(capsys):
     code, out, _ = run(capsys, "decompose", "--graph", g6, "--base", "4", "--level", "3")
     assert code == 0
     assert "dim=13" in out and "type=M3+M2" in out
+
+
+def test_decompose_searches_under_the_time_budget(capsys, monkeypatch):
+    from terw import algebras
+    from terw.errors import BudgetExceededError
+    from terw.pipeline import DEFAULT_TIME_BUDGET
+
+    deadlines = []
+    search = algebras.stabilizer
+
+    def spy(*args, **kwargs):
+        deadlines.append(kwargs["deadline"])
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(algebras, "stabilizer", spy)
+    start = time.monotonic()
+    code, out, _ = run(capsys, "decompose", "--graph", "Dh{", "--base", "4", "--level", "3")
+    assert code == 0 and "dim=13" in out
+    assert deadlines and all(start + DEFAULT_TIME_BUDGET <= d <= time.monotonic() + DEFAULT_TIME_BUDGET for d in deadlines)
+
+    def miss(*args, **kwargs):
+        raise BudgetExceededError("stabilizer search over budget")
+
+    monkeypatch.setattr(algebras, "stabilizer", miss)
+    for level in ("3", "4"):
+        code, _, err = run(capsys, "decompose", "--graph", "Dh{", "--base", "4", "--level", level)
+        assert code == 3 and "budget exceeded" in err
 
 
 def test_usage_error_is_exit_1(capsys):

@@ -184,10 +184,11 @@ def test_clock_read_finder(tmp_path):
 
 
 def test_clock_read_only_where_the_deadline_is_set_and_checked():
-    # classify_graph turns the per-graph time budget into one deadline, and the
-    # search compares the clock with it; everything between passes the deadline on
+    # classify_graph turns the per-graph time budget into one deadline, as the CLI's
+    # decompose does for its one algebra, and the search compares the clock with it;
+    # everything between passes the deadline on
     reads = [f"{path.stem}.{where}" for path in PACKAGE.glob("*.py") for where in clock_reads(path)]
-    assert sorted(reads) == ["groups._SearchState.tick", "pipeline.classify_graph"]
+    assert sorted(reads) == ["cli._cmd_decompose", "groups._SearchState.tick", "pipeline.classify_graph"]
 
 
 MEMOS = ("lru_cache", "cache", "cached_property")

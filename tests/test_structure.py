@@ -12,6 +12,7 @@ from oracles import (
     distinct_eigenvalue_count,
     exact_wedderburn_type,
     is_thin,
+    level_from_identity,
     row_space_rank,
     sympy_center_dim,
 )
@@ -332,18 +333,20 @@ def test_invariants_enforced_on_failure():
 def test_paley_table_matches_bench_reference(q):
     """Levels 0-4 of Paley(q) at base 0, built and split as the benchmark's
     paley-ladder does, against its reference table (read only); levels 0-3
-    built from scratch with the analytic group equal the chain's."""
+    equal the closure of their generators from span{I} inside T4, and T4
+    the elimination of its orbital matrices, with the analytic group."""
     table = pathlib.Path(__file__).resolve().parent.parent / "bench" / "reference" / "paley.json"
     want = json.loads(table.read_text())[str(q)]
     graph, pc = gen_paley(*{81: (3, 4)}.get(q, (q,)))
     stab = paley_stabilizer_generators(pc)
     algs = [build_T(level, graph, 0, stab=stab) for level in range(5)]
     assert [alg.dim for alg in algs] == [row["dim"] for row in want]
-    _, chain = chain_with_algebras(graph, 0, stab=stab)
-    for alg, link in zip(algs[:4], chain):
-        assert alg.basis.pivots == link.basis.pivots, alg.level
-        assert alg.basis.rows.dtype == link.basis.rows.dtype, alg.level
-        assert np.array_equal(alg.basis.rows, link.basis.rows), alg.level
+    for alg in algs:
+        oracle, cells = level_from_identity(graph, 0, alg.level, stab=stab, within=algs[4].basis)
+        assert alg.basis.pivots == oracle.pivots, alg.level
+        assert alg.basis.rows.dtype == oracle.rows.dtype, alg.level
+        assert np.array_equal(alg.basis.rows, oracle.rows), alg.level
+        assert alg.cells == cells, alg.level
     for seed in (0, 1, 7):
         got = [[list(b) for b in wedderburn_decompose(alg, seed=seed).type.blocks] for alg in algs]
         assert got == [row["blocks"] for row in want], seed
